@@ -10,7 +10,7 @@ ranking behavior is testable without any trained model.
 
 __version__ = "0.1.0"
 
-from .confmap import ConfMap, IntegralImage, box_mean, build_integral, ring_values
+from .confmap import ConfMap, IntegralImage, box_mean, build_integral
 from .errors import (BundleValidationError, EmptyRegionError,
                      MalformedFileError, ParseError, TightboxError)
 from .evaluation import (ApMode, ApResult, CorLocResult, Detection, GroundTruth,
@@ -21,8 +21,7 @@ from .pseudomask import (BACKGROUND, IGNORE, MaskConfig, PseudoMask,
                          generate_mask, mask_stats, normalize_cam)
 from .scoring import (CandidatePool, EmptyRingPolicy, ScoredProposal,
                       ScoringConfig, build_pool, conditional_average,
-                      purity, purity_only_score, score, score_batch,
-                      surrounding_completeness)
+                      purity_only_score, score, score_batch)
 from .synth import (JitterParams, ProposalCounts, ProposalFamily, SceneObject,
                     SceneSpec, TrapParams, gen_proposals, gen_scene,
                     make_linked_spec, make_trap_spec, oracle_score)
@@ -37,7 +36,7 @@ __all__ = [
     "SweepResult", "TightboxError", "TrapParams", "ablation_sweep", "box_mean",
     "build_integral", "build_pool", "conditional_average", "corloc", "enlarge",
     "gen_proposals", "gen_scene", "generate_mask", "iou", "make_linked_spec",
-    "make_trap_spec", "mask_stats", "normalize_cam", "oracle_score", "purity",
-    "purity_only_score", "recall_at_k", "ring", "ring_values", "score",
-    "score_batch", "surrounding_completeness", "voc_ap",
+    "make_trap_spec", "mask_stats", "normalize_cam", "oracle_score",
+    "purity_only_score", "recall_at_k", "ring", "score", "score_batch",
+    "voc_ap",
 ]

@@ -104,8 +104,7 @@ def cmd_score(args) -> int:
         if bundle.proposals is None:
             raise TightboxError(f"{bundle.path}: no proposals.csv to score")
         pools, _ = score_corpus(
-            [bundle], cfg, baseline_purity=(args.baseline == "purity"),
-            threads=args.threads)
+            [bundle], cfg, baseline_purity=(args.baseline == "purity"))
         for pool in sorted(pools, key=lambda p: (p.image_id, p.class_id)):
             for s in pool.entries:
                 records.append(ScoredRecord(
@@ -118,8 +117,7 @@ def cmd_score(args) -> int:
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"), "score",
         {"ratio": args.ratio, "top_frac": args.top_frac, "pool": args.pool,
-         "baseline": args.baseline, "empty_ring": args.empty_ring,
-         "threads": args.threads},
+         "baseline": args.baseline, "empty_ring": args.empty_ring},
         [args.corpus], [out])
     print(f"scored {len(records)} pooled proposals from {len(bundles)} "
           f"scene(s) -> {out}")
@@ -130,6 +128,8 @@ def cmd_score(args) -> int:
 # synth
 
 def cmd_synth(args) -> int:
+    if args.scenes < 0:
+        raise UsageError(f"--scenes must be >= 0, got {args.scenes}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params = TrapParams(image_w=args.width, image_h=args.height,
@@ -250,7 +250,7 @@ def cmd_eval_sweep(args) -> int:
             raise TightboxError(f"{b.path}: no proposals.csv; the sweep scores "
                                 f"proposals itself")
     result = ablation_sweep(bundles, _float_list(args.ratios),
-                            _float_list(args.fracs), threads=args.threads)
+                            _float_list(args.fracs))
     payload = result.to_table()
     if args.out:
         out = Path(args.out)
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="objectness",
                    help="'purity' ranks by inside confidence only")
     p.add_argument("--empty-ring", choices=["zero", "skip"], default="zero")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("synth", help="generate a synthetic trap-scene corpus")
@@ -386,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--corpus", required=True)
     e.add_argument("--ratios", default="1.1,1.2,1.3,1.4")
     e.add_argument("--fracs", default="0.3,0.5,0.7,1.0")
-    e.add_argument("--threads", type=int, default=1)
     e.add_argument("--out")
     e.set_defaults(func=cmd_eval_sweep)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, RingRegion
+from .geometry import Box
 
 
 @dataclass(frozen=True)
@@ -86,19 +86,3 @@ def box_mean(ii: IntegralImage, b: Box) -> float:
         raise ValueError(f"box {b} exceeds map bounds {ii.width}x{ii.height}")
     return ii.box_sum(b) / b.area
 
-
-def ring_values(m: ConfMap, r: RingRegion) -> np.ndarray:
-    """Confidences in the ring, in row-major scan order skipping the inner box.
-
-    Returns an empty array for empty rings.
-    """
-    outer, inner = r.outer, r.inner
-    if outer.x1 > m.width or outer.y1 > m.height:
-        raise ValueError(f"ring outer box {outer} exceeds map bounds {m.width}x{m.height}")
-    if r.is_empty:
-        return np.empty(0, dtype=m.values.dtype)
-    patch = m.values[outer.y0:outer.y1, outer.x0:outer.x1]
-    keep = np.ones(patch.shape, dtype=bool)
-    keep[inner.y0 - outer.y0:inner.y1 - outer.y0,
-         inner.x0 - outer.x0:inner.x1 - outer.x0] = False
-    return patch[keep]

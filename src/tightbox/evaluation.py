@@ -253,8 +253,8 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def score_corpus(scenes, cfg: ScoringConfig, baseline_purity: bool = False,
-                 threads: int = 1) -> tuple[list[CandidatePool], list]:
+def score_corpus(scenes, cfg: ScoringConfig,
+                 baseline_purity: bool = False) -> tuple[list[CandidatePool], list]:
     """Score every scene's proposals per class and build candidate pools.
 
     ``scenes`` is an iterable with image_id, maps (class_id -> ConfMap)
@@ -277,15 +277,14 @@ def score_corpus(scenes, cfg: ScoringConfig, baseline_purity: bool = False,
                 ii = build_integral(m)
                 scored = [purity_only_score(ii, b) for b in by_class[cid]]
             else:
-                scored = score_batch(m, by_class[cid], cfg, threads=threads)
+                scored = score_batch(m, by_class[cid], cfg)
             pools.append(build_pool(scored, cfg, image_id=scene.image_id))
             all_scored.extend(scored)
     return pools, all_scored
 
 
 def ablation_sweep(scenes, ratios: list[float], fractions: list[float],
-                   base: ScoringConfig = ScoringConfig(),
-                   threads: int = 1) -> SweepResult:
+                   base: ScoringConfig = ScoringConfig()) -> SweepResult:
     """Evaluate recall@1 over the full (ratio, fraction) cross-product.
 
     Cells share the scoring code path with production runs; the sweep is
@@ -302,7 +301,7 @@ def ablation_sweep(scenes, ratios: list[float], fractions: list[float],
             cfg = ScoringConfig(enlarge_ratio=ratio, top_fraction=frac,
                                 pool_size=base.pool_size,
                                 empty_ring_policy=base.empty_ring_policy)
-            pools, scored = score_corpus(scenes, cfg, threads=threads)
+            pools, scored = score_corpus(scenes, cfg)
             curve = recall_at_k(pools, gts, [1])
             mean_obj = (sum(s.objectness for s in scored) / len(scored)
                         if scored else 0.0)

@@ -10,6 +10,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Box:
@@ -84,26 +86,39 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
+def check_ratio(ratio: float) -> None:
+    """Reject enlarge ratios that are below 1 or not finite (nan, inf)."""
+    if not (math.isfinite(ratio) and ratio >= 1.0):
+        raise ValueError(f"enlarge ratio must be a finite number >= 1, got {ratio}")
+
+
+def enlarge_coords(x0, y0, x1, y1, ratio: float, image_w: int, image_h: int):
+    """Enlarged, image-clipped (x0, y0, x1, y1) as int64 values.
+
+    Works elementwise, on ints and on int64 column arrays alike, so the
+    single-box and the batch paths share one arithmetic. Inputs are not
+    validated; ``enlarge`` is the checked entry point.
+    """
+    cx = (x0 + x1) / 2.0
+    cy = (y0 + y1) / 2.0
+    half_w = (x1 - x0) * ratio / 2.0
+    half_h = (y1 - y0) * ratio / 2.0
+    return (np.maximum(0, np.floor(cx - half_w)).astype(np.int64),
+            np.maximum(0, np.floor(cy - half_h)).astype(np.int64),
+            np.minimum(image_w, np.ceil(cx + half_w)).astype(np.int64),
+            np.minimum(image_h, np.ceil(cy + half_h)).astype(np.int64))
+
+
 def enlarge(b: Box, ratio: float, image_w: int, image_h: int) -> Box:
     """Scale width and height by ``ratio`` about the box center.
 
     Fractional coordinates are rounded outward (floor for mins, ceil for
     maxes) so the result always contains ``b``, then clipped to the image.
     """
-    if ratio < 1.0:
-        raise ValueError(f"enlarge ratio must be >= 1, got {ratio}")
+    check_ratio(ratio)
     if b.x1 > image_w or b.y1 > image_h:
         raise ValueError(f"box {b} exceeds image bounds {image_w}x{image_h}")
-    cx = (b.x0 + b.x1) / 2.0
-    cy = (b.y0 + b.y1) / 2.0
-    half_w = b.width * ratio / 2.0
-    half_h = b.height * ratio / 2.0
-    return Box(
-        x0=max(0, math.floor(cx - half_w)),
-        y0=max(0, math.floor(cy - half_h)),
-        x1=min(image_w, math.ceil(cx + half_w)),
-        y1=min(image_h, math.ceil(cy + half_h)),
-    )
+    return Box(*enlarge_coords(b.x0, b.y0, b.x1, b.y1, ratio, image_w, image_h))
 
 
 def ring(b: Box, ratio: float, image_w: int, image_h: int) -> RingRegion:

@@ -6,6 +6,10 @@ the highest-confidence pixels in the ring between the box and its enlarged
 version (surrounding completeness). Tight boxes have high purity and low
 surrounding completeness, so the difference ranks them above boxes stuck
 on discriminative object parts.
+
+Both statistics come from one kernel: box means from the summed-area
+table, ring pixels gathered into a scratch buffer and reduced by an exact
+top-k mean. ``score`` and ``score_batch`` are thin entry points over it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .confmap import ConfMap, IntegralImage, box_mean, build_integral
 from .errors import EmptyRegionError
-from .geometry import Box, RingRegion, ring
+from .geometry import Box, check_ratio, enlarge_coords
 
 
 class EmptyRingPolicy(enum.Enum):
@@ -40,8 +44,7 @@ class ScoringConfig:
     empty_ring_policy: EmptyRingPolicy = EmptyRingPolicy.ZERO
 
     def __post_init__(self):
-        if self.enlarge_ratio < 1.0:
-            raise ValueError(f"enlarge_ratio must be >= 1, got {self.enlarge_ratio}")
+        check_ratio(self.enlarge_ratio)
         if not 0.0 < self.top_fraction <= 1.0:
             raise ValueError(f"top_fraction must be in (0, 1], got {self.top_fraction}")
         if self.pool_size < 1:
@@ -89,10 +92,9 @@ def top_k_count(n: int, top_fraction: float) -> int:
     """Number of pixels the conditional average keeps: ceil(fraction * n).
 
     Rounding up guarantees at least one pixel for any non-empty region.
-    The product is evaluated in floats; the fast kernel and the sequence
-    path share this helper, and the naive reference scorer mirrors the
-    same expression, so all paths agree on k even when the product
-    rounds.
+    The product is evaluated in floats; every top-k mean in this module
+    goes through this helper, and the naive reference scorer mirrors the
+    same expression, so they agree on k even when the product rounds.
     """
     return min(max(math.ceil(top_fraction * n), 1), n)
 
@@ -105,15 +107,11 @@ def conditional_average(values, top_fraction: float) -> float:
     """
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction}")
-    arr = np.asarray(values, dtype=np.float64)
-    n = arr.size
-    if n == 0:
+    # a float64 copy, since _topk_mean partitions its buffer in place
+    buf = np.array(values, dtype=np.float64).reshape(-1)
+    if buf.size == 0:
         raise EmptyRegionError("conditional average of an empty region")
-    k = top_k_count(n, top_fraction)
-    if k >= n:
-        return float(arr.sum() / n)
-    part = np.partition(arr, n - k)
-    return float(part[n - k:].sum() / k)
+    return _topk_mean(buf, buf.size, top_fraction)
 
 
 def _gather_ring(values: np.ndarray, buf: np.ndarray,
@@ -121,9 +119,9 @@ def _gather_ring(values: np.ndarray, buf: np.ndarray,
                  bx0: int, by0: int, bx1: int, by1: int) -> int:
     """Copy ring pixels into ``buf`` as four strips; returns the pixel count.
 
-    Strip order (top, bottom, left, right) is fixed so every caller fills
-    the buffer identically; the loop is unrolled because this sits on the
-    hot path of batch scoring.
+    Strip order (top, bottom, left, right) is fixed, so the buffer and the
+    float sums taken over it are reproducible; the loop is unrolled
+    because this sits on the hot path of every scoring call.
     """
     n = 0
     h = by0 - oy0
@@ -161,134 +159,70 @@ def _topk_mean(buf: np.ndarray, n: int, top_fraction: float) -> float:
     return float(v[n - k:].sum(dtype=np.float64) / k)
 
 
-def _ring_topk_mean(values: np.ndarray, rg: RingRegion, top_fraction: float,
-                    buf: np.ndarray):
-    """Conditional average over a ring, or None if the ring is empty.
+def _score_boxes(m: ConfMap, ii: IntegralImage, boxes: list[Box],
+                 cfg: ScoringConfig) -> list[ScoredProposal]:
+    """The scoring kernel: one ScoredProposal per box, in input order.
 
-    Selection is exact (introselect to the k-th order statistic), done in
-    place on the scratch buffer; sums accumulate in float64.
+    Boxes must lie inside the map. Box means come from the integral
+    table, ring surrounds from the strip gather and an in-place top-k
+    mean; all sums are float64.
     """
-    o, i = rg.outer, rg.inner
-    n = _gather_ring(values, buf, o.x0, o.y0, o.x1, o.y1,
-                     i.x0, i.y0, i.x1, i.y1)
-    if n == 0:
-        return None
-    return _topk_mean(buf, n, top_fraction)
-
-
-def purity(ii: IntegralImage, b: Box) -> float:
-    """Mean confidence over all pixels inside the box."""
-    return box_mean(ii, b)
-
-
-def surrounding_completeness(m: ConfMap, b: Box, cfg: ScoringConfig) -> float:
-    """Conditional average of the ring around ``b`` at the configured ratio.
-
-    An empty ring resolves per the policy: ZERO returns 0.0, SKIP raises
-    EmptyRegionError (callers that batch proposals translate this into an
-    exclusion mark instead of aborting).
-    """
-    rg = ring(b, cfg.enlarge_ratio, m.width, m.height)
-    buf = np.empty(rg.pixel_count, dtype=m.values.dtype)
-    result = _ring_topk_mean(m.values, rg, cfg.top_fraction, buf)
-    if result is None:
-        if cfg.empty_ring_policy is EmptyRingPolicy.ZERO:
-            return 0.0
-        raise EmptyRegionError(f"empty ring for box {b} at ratio {cfg.enlarge_ratio}")
-    return result
-
-
-def score(m: ConfMap, ii: IntegralImage, b: Box, cfg: ScoringConfig,
-          _buf: np.ndarray | None = None) -> ScoredProposal:
-    """Score one proposal: objectness = purity - surrounding completeness."""
-    if not m.contains_box(b):
-        raise ValueError(f"box {b} exceeds map bounds {m.width}x{m.height}")
-    p_in = purity(ii, b)
-    rg = ring(b, cfg.enlarge_ratio, m.width, m.height)
-    if _buf is None:
-        _buf = np.empty(rg.pixel_count, dtype=m.values.dtype)
-    p_sur = _ring_topk_mean(m.values, rg, cfg.top_fraction, _buf)
-    if p_sur is None:
-        excluded = cfg.empty_ring_policy is EmptyRingPolicy.SKIP
-        return ScoredProposal(box=b, class_id=m.class_id, p_inside=p_in,
-                              p_surround=0.0, objectness=p_in, excluded=excluded)
-    return ScoredProposal(box=b, class_id=m.class_id, p_inside=p_in,
-                          p_surround=p_sur, objectness=p_in - p_sur)
-
-
-def score_batch(m: ConfMap, boxes: list[Box], cfg: ScoringConfig,
-                threads: int = 1) -> list[ScoredProposal]:
-    """Score proposals in input order; entries equal single-box score() calls.
-
-    Bounds are validated up front and a ValueError names every offending
-    box, so the batch either completes for all boxes or fails before
-    scoring any. The loop body mirrors score() operation for operation
-    (geometry vectorized up front, same ring kernel), so outputs are
-    bit-identical to the single-box path.
-    """
-    bad = [i for i, b in enumerate(boxes) if not m.contains_box(b)]
-    if bad:
-        raise ValueError(f"boxes out of map bounds {m.width}x{m.height} "
-                         f"at input positions {bad}")
-    ii = build_integral(m)
     if not boxes:
         return []
-
     coords = np.array([b.as_tuple() for b in boxes], dtype=np.int64)
     x0, y0, x1, y1 = coords.T
     t = ii.table
     # same 4-corner expression and operation order as IntegralImage.box_sum
     p_in = (t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0]) / ((x1 - x0) * (y1 - y0))
+    outer = enlarge_coords(x0, y0, x1, y1, cfg.enlarge_ratio, m.width, m.height)
+    geo = np.stack([*outer, x0, y0, x1, y1], axis=1).tolist()
 
-    # same arithmetic as geometry.enlarge, elementwise
-    r = cfg.enlarge_ratio
-    cx = (x0 + x1) / 2.0
-    cy = (y0 + y1) / 2.0
-    hw = (x1 - x0) * r / 2.0
-    hh = (y1 - y0) * r / 2.0
-    ox0 = np.maximum(0, np.floor(cx - hw)).astype(np.int64)
-    oy0 = np.maximum(0, np.floor(cy - hh)).astype(np.int64)
-    ox1 = np.minimum(m.width, np.ceil(cx + hw)).astype(np.int64)
-    oy1 = np.minimum(m.height, np.ceil(cy + hh)).astype(np.int64)
-
-    geo = np.stack([ox0, oy0, ox1, oy1, x0, y0, x1, y1], axis=1).tolist()
-    p_in_list = p_in.tolist()
     skip_on_empty = cfg.empty_ring_policy is EmptyRingPolicy.SKIP
     frac = cfg.top_fraction
     values = m.values
     class_id = m.class_id
     gather = _gather_ring
     topk = _topk_mean
-    out: list[ScoredProposal | None] = [None] * len(boxes)
+    buf = np.empty(m.width * m.height, dtype=values.dtype)
+    out = []
+    for g, pi, box in zip(geo, p_in.tolist(), boxes):
+        n = gather(values, buf, g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7])
+        if n == 0:
+            out.append(ScoredProposal(box=box, class_id=class_id, p_inside=pi,
+                                      p_surround=0.0, objectness=pi,
+                                      excluded=skip_on_empty))
+            continue
+        ps = topk(buf, n, frac)
+        out.append(ScoredProposal(box=box, class_id=class_id, p_inside=pi,
+                                  p_surround=ps, objectness=pi - ps))
+    return out
 
-    def work(lo: int, hi: int) -> None:
-        buf = np.empty(m.width * m.height, dtype=values.dtype)
-        for idx in range(lo, hi):
-            g = geo[idx]
-            n = gather(values, buf, g[0], g[1], g[2], g[3],
-                       g[4], g[5], g[6], g[7])
-            pi = p_in_list[idx]
-            box = boxes[idx]
-            if n == 0:
-                out[idx] = ScoredProposal(box=box, class_id=class_id, p_inside=pi,
-                                          p_surround=0.0, objectness=pi,
-                                          excluded=skip_on_empty)
-                continue
-            ps = topk(buf, n, frac)
-            out[idx] = ScoredProposal(box=box, class_id=class_id, p_inside=pi,
-                                      p_surround=ps, objectness=pi - ps)
 
-    if threads <= 1:
-        work(0, len(boxes))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+def score(m: ConfMap, ii: IntegralImage, b: Box,
+          cfg: ScoringConfig) -> ScoredProposal:
+    """Score one proposal: objectness = purity - surrounding completeness.
 
-        step = max(1, math.ceil(len(boxes) / threads))
-        spans = [(lo, min(lo + step, len(boxes)))
-                 for lo in range(0, len(boxes), step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: work(*s), spans))
-    return out  # type: ignore[return-value]
+    ``ii`` is the map's integral image. An empty ring scores a surround
+    of 0.0; under the SKIP policy the proposal is also marked excluded.
+    """
+    if not m.contains_box(b):
+        raise ValueError(f"box {b} exceeds map bounds {m.width}x{m.height}")
+    return _score_boxes(m, ii, [b], cfg)[0]
+
+
+def score_batch(m: ConfMap, boxes: list[Box],
+                cfg: ScoringConfig) -> list[ScoredProposal]:
+    """Score proposals in input order; entries equal single-box score() calls.
+
+    Bounds are validated up front and a ValueError names every offending
+    box, so the batch either completes for all boxes or fails before
+    scoring any.
+    """
+    bad = [i for i, b in enumerate(boxes) if not m.contains_box(b)]
+    if bad:
+        raise ValueError(f"boxes out of map bounds {m.width}x{m.height} "
+                         f"at input positions {bad}")
+    return _score_boxes(m, build_integral(m), boxes, cfg)
 
 
 def build_pool(scored: list[ScoredProposal], cfg: ScoringConfig,
@@ -306,6 +240,6 @@ def build_pool(scored: list[ScoredProposal], cfg: ScoringConfig,
 
 def purity_only_score(ii: IntegralImage, b: Box) -> ScoredProposal:
     """Baseline ranking that looks only inside the box (no surround term)."""
-    p_in = purity(ii, b)
+    p_in = box_mean(ii, b)
     return ScoredProposal(box=b, class_id=ii.class_id, p_inside=p_in,
                           p_surround=0.0, objectness=p_in)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tightbox.cli import main
-from tightbox.confmap import ConfMap, ring_values
+from tightbox.confmap import ConfMap
 from tightbox.geometry import Box, ring
 from tightbox.io_formats import (ScoredRecord, read_corpus,
                                  read_ground_truth, read_mask, read_scored,
@@ -41,6 +41,12 @@ class TestSynth:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 1
         assert manifest["outputs"] == {}
+
+    def test_negative_scenes_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert run(["synth", "--out", out, "--scenes", "-3"]) == 1
+        assert "-3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_linked_failure_mode_produces_touching_instances(self, tmp_path):
         out = tmp_path / "corpus"
@@ -105,10 +111,20 @@ class TestScore:
         rows = [r for r in read_scored(out) if r.image_id == bundle.image_id]
         m = bundle.maps[rows[0].class_id]
         r0 = rows[0]
-        vals = ring_values(m, ring(r0.box, 1.2, m.width, m.height))
+        b, o = r0.box, ring(r0.box, 1.2, m.width, m.height).outer
+        in_ring = np.zeros(m.values.shape, dtype=bool)
+        in_ring[o.y0:o.y1, o.x0:o.x1] = True
+        in_ring[b.y0:b.y1, b.x0:b.x1] = False
+        vals = m.values[in_ring]
         assert vals.size > 0
         assert r0.p_surround == pytest.approx(
             float(vals.astype(np.float64).mean()), abs=1e-8)
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_non_finite_ratio_is_usage_error(self, corpus, tmp_path, capsys, ratio):
+        assert run(["score", corpus, "--out", tmp_path / "s.csv",
+                    "--ratio", ratio]) == 1
+        assert f"got {ratio}" in capsys.readouterr().err
 
     def test_purity_baseline(self, corpus, tmp_path):
         out = tmp_path / "scored.csv"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tightbox.confmap import ConfMap, box_mean, build_integral, ring_values
+from tightbox.confmap import ConfMap, box_mean, build_integral
 from tightbox.geometry import Box, ring
+from tightbox.scoring import _gather_ring
 
 
 def naive_box_sum(values, b):
@@ -11,6 +14,24 @@ def naive_box_sum(values, b):
         for x in range(b.x0, b.x1):
             total += float(values[y, x])
     return total
+
+
+def gather(m, r):
+    """Ring pixels as the scoring kernel gathers them."""
+    buf = np.empty(m.width * m.height, dtype=m.values.dtype)
+    o, i = r.outer, r.inner
+    n = _gather_ring(m.values, buf, o.x0, o.y0, o.x1, o.y1,
+                     i.x0, i.y0, i.x1, i.y1)
+    return buf[:n]
+
+
+def mask_ring_values(m, r):
+    """Reference: ring pixels picked by a boolean mask, in row-major order."""
+    o, i = r.outer, r.inner
+    in_ring = np.zeros(m.values.shape, dtype=bool)
+    in_ring[o.y0:o.y1, o.x0:o.x1] = True
+    in_ring[i.y0:i.y1, i.x0:i.x1] = False
+    return m.values[in_ring]
 
 
 class TestConfMap:
@@ -101,22 +122,23 @@ class TestRingValues:
     def test_empty_ring_gives_empty_sequence(self):
         m = ConfMap(class_id=0, values=np.zeros((8, 8)))
         r = ring(Box(0, 0, 8, 8), 1.2, 8, 8)
-        assert ring_values(m, r).size == 0
+        assert gather(m, r).size == 0
 
     def test_uniform_border(self):
         m = ConfMap(class_id=0, values=np.full((4, 4), 0.3))
         r = ring(Box(1, 1, 3, 3), 2.0, 4, 4)
-        vals = ring_values(m, r)
+        vals = gather(m, r)
         assert vals.size == 12
         assert np.all(vals == np.float32(0.3))
 
-    def test_row_major_scan_order(self):
+    def test_strip_scan_order(self):
+        # top strip, bottom strip, then the left and right columns
         values = np.arange(16, dtype=np.float64).reshape(4, 4) / 16
         m = ConfMap(class_id=0, values=values)
         r = ring(Box(1, 1, 3, 3), 2.0, 4, 4)
-        got = ring_values(m, r) * 16
-        expected = [0, 1, 2, 3, 4, 7, 8, 11, 12, 13, 14, 15]
-        assert got.tolist() == expected
+        got = gather(m, r) * 16
+        assert got.tolist() == [0, 1, 2, 3, 12, 13, 14, 15, 4, 8, 7, 11]
+        assert sorted(got.tolist()) == (mask_ring_values(m, r) * 16).tolist()
 
     def test_length_always_matches_area_difference(self):
         rng = np.random.default_rng(24)
@@ -125,4 +147,20 @@ class TestRingValues:
             x0 = int(rng.integers(0, 23)); y0 = int(rng.integers(0, 23))
             b = Box(x0, y0, int(rng.integers(x0 + 1, 25)), int(rng.integers(y0 + 1, 25)))
             r = ring(b, float(rng.uniform(1.0, 1.6)), 24, 24)
-            assert ring_values(m, r).size == r.pixel_count
+            assert gather(m, r).size == r.pixel_count
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), w=st.integers(1, 24), h=st.integers(1, 24),
+           ratio=st.floats(1.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_gather_equals_boolean_mask_as_multiset(self, data, w, h, ratio, seed):
+        x0 = data.draw(st.integers(0, w - 1))
+        y0 = data.draw(st.integers(0, h - 1))
+        b = Box(x0, y0, data.draw(st.integers(x0 + 1, w)),
+                data.draw(st.integers(y0 + 1, h)))
+        # distinct values, so equal sorted sequences mean equal pixel sets
+        values = np.random.default_rng(seed).permutation(w * h).reshape(h, w)
+        m = ConfMap(class_id=0, values=values / (w * h))
+        r = ring(b, ratio, w, h)
+        got = gather(m, r)
+        assert got.size == r.pixel_count
+        assert np.array_equal(np.sort(got), np.sort(mask_ring_values(m, r)))

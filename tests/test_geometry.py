@@ -88,6 +88,11 @@ class TestEnlarge:
         with pytest.raises(ValueError):
             enlarge(Box(10, 10, 20, 20), 0.9, 100, 100)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+    def test_rejects_non_finite_ratio(self, ratio):
+        with pytest.raises(ValueError, match=f"got {ratio}"):
+            enlarge(Box(10, 10, 20, 20), ratio, 100, 100)
+
     def test_rejects_out_of_bounds_box(self):
         with pytest.raises(ValueError):
             enlarge(Box(10, 10, 120, 20), 1.2, 100, 100)

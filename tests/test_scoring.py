@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from tightbox.confmap import ConfMap, build_integral, ring_values
+from tightbox.confmap import ConfMap, box_mean, build_integral
 from tightbox.errors import EmptyRegionError
 from tightbox.geometry import Box, ring
 from tightbox.scoring import (EmptyRingPolicy, ScoredProposal,
                               ScoringConfig, build_pool, conditional_average,
-                              purity, purity_only_score, score, score_batch,
-                              surrounding_completeness, top_k_count)
+                              purity_only_score, score, score_batch,
+                              top_k_count)
 
 
 def sort_and_average(values, frac):
@@ -48,6 +48,8 @@ class TestScoringConfig:
         {"top_fraction": 0.0},
         {"top_fraction": 1.01},
         {"pool_size": 0},
+        {"enlarge_ratio": float("nan")},
+        {"enlarge_ratio": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -109,40 +111,48 @@ class TestConditionalAverage:
 
 
 class TestSurroundingCompleteness:
+    """The surround term of score(): the ring's conditional average."""
+
+    def surround(self, m, b, cfg):
+        return score(m, build_integral(m), b, cfg).p_surround
+
     def test_background_ring_scores_zero(self):
         values = np.zeros((20, 20))
         values[5:15, 5:15] = 1.0
         m = ConfMap(class_id=1, values=values)
-        assert surrounding_completeness(m, Box(5, 5, 15, 15), ScoringConfig()) == 0.0
+        assert self.surround(m, Box(5, 5, 15, 15), ScoringConfig()) == 0.0
 
     def test_saturated_ring_scores_one(self):
         m = ConfMap(class_id=1, values=np.ones((20, 20)))
-        assert surrounding_completeness(m, Box(5, 5, 15, 15), ScoringConfig()) == 1.0
+        assert self.surround(m, Box(5, 5, 15, 15), ScoringConfig()) == 1.0
 
     def test_conditional_average_picks_hot_half(self):
         # ring half 0.8 / half 0.0 -> top 50% all 0.8
-        m, gt, part = part_trap_map()
         values = np.zeros((20, 8))
         values[:10, :] = 0.8
         m = ConfMap(class_id=1, values=values)
         b = Box(1, 8, 7, 12)   # ring straddles the 0.8 / 0.0 boundary
-        r = ring(b, 1.5, 8, 20)
-        ringvals = ring_values(m, r)
+        o = ring(b, 1.5, 8, 20).outer
+        in_ring = np.zeros(m.values.shape, dtype=bool)
+        in_ring[o.y0:o.y1, o.x0:o.x1] = True
+        in_ring[b.y0:b.y1, b.x0:b.x1] = False
+        ringvals = m.values[in_ring]
         hot = int((ringvals == np.float32(0.8)).sum())
         assert hot >= ringvals.size // 2  # precondition for the assertion below
-        got = surrounding_completeness(m, b, ScoringConfig(enlarge_ratio=1.5))
+        got = self.surround(m, b, ScoringConfig(enlarge_ratio=1.5))
         assert got == pytest.approx(0.8, abs=1e-6)
 
     def test_empty_ring_zero_policy(self):
         m = ConfMap(class_id=1, values=np.full((10, 10), 0.4))
         cfg = ScoringConfig(empty_ring_policy=EmptyRingPolicy.ZERO)
-        assert surrounding_completeness(m, Box(0, 0, 10, 10), cfg) == 0.0
+        assert self.surround(m, Box(0, 0, 10, 10), cfg) == 0.0
 
-    def test_empty_ring_skip_policy_raises(self):
+    def test_empty_ring_skip_policy_excludes(self):
         m = ConfMap(class_id=1, values=np.full((10, 10), 0.4))
         cfg = ScoringConfig(empty_ring_policy=EmptyRingPolicy.SKIP)
-        with pytest.raises(EmptyRegionError):
-            surrounding_completeness(m, Box(0, 0, 10, 10), cfg)
+        s = score(m, build_integral(m), Box(0, 0, 10, 10), cfg)
+        assert s.excluded
+        assert s.p_surround == 0.0
 
 
 class TestScore:
@@ -236,13 +246,6 @@ class TestScoreBatch:
         batch = score_batch(m, boxes, cfg)
         assert batch == [score(m, ii, b, cfg) for b in boxes]
 
-    def test_threaded_batch_matches(self):
-        rng = np.random.default_rng(38)
-        m = ConfMap(class_id=1, values=rng.random((32, 32)))
-        boxes = [random_box(rng, 32, 32) for _ in range(200)]
-        cfg = ScoringConfig()
-        assert score_batch(m, boxes, cfg, threads=3) == score_batch(m, boxes, cfg)
-
     def test_rejects_out_of_bounds_boxes_naming_positions(self):
         m = ConfMap(class_id=1, values=np.zeros((8, 8)))
         boxes = [Box(0, 0, 4, 4), Box(0, 0, 9, 4), Box(1, 1, 2, 9)]
@@ -325,4 +328,5 @@ class TestPurity:
         ii = build_integral(m)
         b = Box(3, 4, 10, 12)
         naive = float(m.values[4:12, 3:10].astype(np.float64).mean())
-        assert purity(ii, b) == pytest.approx(naive, abs=1e-9)
+        assert box_mean(ii, b) == pytest.approx(naive, abs=1e-9)
+        assert score(m, ii, b, ScoringConfig()).p_inside == box_mean(ii, b)
