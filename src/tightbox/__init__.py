@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .confmap import ConfMap, IntegralImage, box_mean, build_integral
 from .errors import (BundleValidationError, EmptyRegionError,
                      MalformedFileError, ParseError, TightboxError)
-from .evaluation import (ApMode, ApResult, CorLocResult, Detection, GroundTruth,
+from .evaluation import (ApMode, ApResult, CorLocResult, GroundTruth,
                          GtInstance, RecallCurve, SweepResult, ablation_sweep,
                          corloc, recall_at_k, voc_ap)
 from .geometry import Box, RingRegion, enlarge, iou, ring
@@ -22,15 +22,15 @@ from .pseudomask import (BACKGROUND, IGNORE, MaskConfig, PseudoMask,
 from .scoring import (CandidatePool, EmptyRingPolicy, ScoredProposal,
                       ScoringConfig, build_pool, conditional_average,
                       purity_only_score, score, score_batch)
-from .synth import (JitterParams, ProposalCounts, ProposalFamily, SceneObject,
-                    SceneSpec, TrapParams, gen_proposals, gen_scene,
-                    make_linked_spec, make_trap_spec, oracle_score)
+from .synth import (ProposalCounts, ProposalFamily, SceneObject, SceneSpec,
+                    TrapParams, gen_proposals, gen_scene, make_linked_spec,
+                    make_trap_spec, oracle_score)
 
 __all__ = [
     "ApMode", "ApResult", "BACKGROUND", "Box", "BundleValidationError",
-    "CandidatePool", "ConfMap", "CorLocResult", "Detection", "EmptyRegionError",
+    "CandidatePool", "ConfMap", "CorLocResult", "EmptyRegionError",
     "EmptyRingPolicy", "GroundTruth", "GtInstance", "IGNORE", "IntegralImage",
-    "JitterParams", "MalformedFileError", "MaskConfig", "ParseError",
+    "MalformedFileError", "MaskConfig", "ParseError",
     "ProposalCounts", "ProposalFamily", "PseudoMask", "RecallCurve",
     "RingRegion", "SceneObject", "SceneSpec", "ScoredProposal", "ScoringConfig",
     "SweepResult", "TightboxError", "TrapParams", "ablation_sweep", "box_mean",

@@ -20,9 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import TightboxError
-from .evaluation import (ApMode, Detection, GroundTruth, GtInstance,
-                         ablation_sweep, corloc, recall_at_k, score_corpus,
-                         voc_ap)
+from .evaluation import (ApMode, GroundTruth, ablation_sweep, corloc,
+                         recall_at_k, score_corpus, voc_ap)
 from .io_formats import (ScoredRecord, read_boxes, read_confmap, read_corpus,
                          read_scored, write_bundle, write_json, write_mask,
                          write_scored)
@@ -130,12 +129,15 @@ def cmd_score(args) -> int:
 def cmd_synth(args) -> int:
     if args.scenes < 0:
         raise UsageError(f"--scenes must be >= 0, got {args.scenes}")
+    try:
+        params = TrapParams(image_w=args.width, image_h=args.height,
+                            noise_sigma=args.noise, blur_radius=args.blur)
+        counts = ProposalCounts(tight=args.tight, partial=args.partial,
+                                loose=args.loose, background=args.background)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params = TrapParams(image_w=args.width, image_h=args.height,
-                        noise_sigma=args.noise, blur_radius=args.blur)
-    counts = ProposalCounts(tight=args.tight, partial=args.partial,
-                            loose=args.loose, background=args.background)
     outputs = []
     for i in range(args.scenes):
         scene_seed = args.seed + i
@@ -169,11 +171,7 @@ def cmd_synth(args) -> int:
 # eval
 
 def _load_gts(bundles) -> list[GroundTruth]:
-    return [GroundTruth(image_id=b.image_id,
-                        entries=tuple(GtInstance(class_id=cid, box=box,
-                                                 ignore=ignore)
-                                      for cid, box, ignore in b.gt))
-            for b in bundles]
+    return [GroundTruth(image_id=b.image_id, entries=tuple(b.gt)) for b in bundles]
 
 
 def _load_pools(scored_path) -> list[CandidatePool]:
@@ -197,9 +195,11 @@ def _emit_result(args, name: str, payload: dict, inputs: list) -> None:
 
 
 def cmd_eval_recall(args) -> int:
+    ks = _int_list(args.ks)
+    if min(ks) < 1:
+        raise UsageError(f"--ks values must be >= 1, got {min(ks)}")
     bundles = read_corpus(args.corpus)
-    curve = recall_at_k(_load_pools(args.scored), _load_gts(bundles),
-                        _int_list(args.ks))
+    curve = recall_at_k(_load_pools(args.scored), _load_gts(bundles), ks)
     payload = {
         "ks": list(curve.ks),
         "recall": dict(zip(map(str, curve.ks), curve.recalls)),
@@ -212,11 +212,7 @@ def cmd_eval_recall(args) -> int:
 
 def cmd_eval_corloc(args) -> int:
     bundles = read_corpus(args.corpus)
-    top1 = {}
-    for pool in _load_pools(args.scored):
-        if pool.entries:
-            top1[(pool.image_id, pool.class_id)] = pool.entries[0]
-    result = corloc(top1, _load_gts(bundles))
+    result = corloc(_load_pools(args.scored), _load_gts(bundles))
     payload = {
         "per_class": {str(c): v for c, v in result.per_class.items()},
         "mean": result.mean,
@@ -227,11 +223,8 @@ def cmd_eval_corloc(args) -> int:
 
 def cmd_eval_map(args) -> int:
     bundles = read_corpus(args.corpus)
-    detections = [Detection(image_id=r.image_id, class_id=r.class_id,
-                            box=r.box, score=r.objectness)
-                  for r in read_scored(args.scored)]
     mode = ApMode.ELEVEN_POINT if args.mode == "11pt" else ApMode.AREA
-    result = voc_ap(detections, _load_gts(bundles), mode)
+    result = voc_ap(read_scored(args.scored), _load_gts(bundles), mode)
     payload = {
         "per_class_ap": {str(c): v for c, v in result.per_class.items()},
         "mAP": result.mean_ap,
@@ -244,13 +237,19 @@ def cmd_eval_map(args) -> int:
 
 
 def cmd_eval_sweep(args) -> int:
+    ratios, fracs = _float_list(args.ratios), _float_list(args.fracs)
+    try:
+        for ratio in ratios:
+            for frac in fracs:
+                ScoringConfig(enlarge_ratio=ratio, top_fraction=frac)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     bundles = read_corpus(args.corpus)
     for b in bundles:
         if b.proposals is None:
             raise TightboxError(f"{b.path}: no proposals.csv; the sweep scores "
                                 f"proposals itself")
-    result = ablation_sweep(bundles, _float_list(args.ratios),
-                            _float_list(args.fracs))
+    result = ablation_sweep(bundles, ratios, fracs)
     payload = result.to_table()
     if args.out:
         out = Path(args.out)

@@ -62,10 +62,6 @@ class ApResult:
     skipped_classes: tuple[int, ...] = ()  # zero ground-truth instances
 
 
-def _box_of(entry):
-    return entry.box if hasattr(entry, "box") else entry
-
-
 def recall_at_k(pools: list[CandidatePool], gts: list[GroundTruth],
                 ks: list[int]) -> RecallCurve:
     """Fraction of gt instances hit by any of the top-k pool entries.
@@ -89,7 +85,7 @@ def recall_at_k(pools: list[CandidatePool], gts: list[GroundTruth],
             rank = None
             if pool is not None:
                 for r, entry in enumerate(pool.entries, start=1):
-                    if iou(_box_of(entry), inst.box) >= IOU_THRESHOLD:
+                    if iou(entry.box, inst.box) >= IOU_THRESHOLD:
                         rank = r
                         break
             hit_ranks.append(rank)
@@ -101,16 +97,18 @@ def recall_at_k(pools: list[CandidatePool], gts: list[GroundTruth],
                        upper_bound=len(pairs) / total, total_instances=total)
 
 
-def corloc(top1: dict[tuple[str, int], object], gts: list[GroundTruth]) -> CorLocResult:
-    """Per-class fraction of positive images whose single top box hits any
-    gt instance of the class; mean over classes present in the ground truth."""
+def corloc(pools: list[CandidatePool], gts: list[GroundTruth]) -> CorLocResult:
+    """Per-class fraction of positive images whose top box (the first entry
+    of the image's pool for the class; a missing or empty pool is a miss)
+    hits any gt instance of the class; mean over classes present in the gt."""
+    top1 = {(p.image_id, p.class_id): p.entries[0] for p in pools if p.entries}
     images_per_class: dict[int, set[str]] = {}
     hits_per_class: dict[int, set[str]] = {}
     for gt in gts:
         for inst in gt.entries:
             images_per_class.setdefault(inst.class_id, set()).add(gt.image_id)
             top = top1.get((gt.image_id, inst.class_id))
-            if top is not None and iou(_box_of(top), inst.box) >= IOU_THRESHOLD:
+            if top is not None and iou(top.box, inst.box) >= IOU_THRESHOLD:
                 hits_per_class.setdefault(inst.class_id, set()).add(gt.image_id)
     per_class = {cid: len(hits_per_class.get(cid, ())) / len(imgs)
                  for cid, imgs in sorted(images_per_class.items())}
@@ -118,14 +116,6 @@ def corloc(top1: dict[tuple[str, int], object], gts: list[GroundTruth]) -> CorLo
         raise ValueError("no ground-truth instances")
     mean = sum(per_class.values()) / len(per_class)
     return CorLocResult(per_class=per_class, mean=mean)
-
-
-@dataclass(frozen=True)
-class Detection:
-    image_id: str
-    class_id: int
-    box: Box
-    score: float
 
 
 def _ap_from_pr(recall: list[float], precision: list[float], mode: ApMode) -> float:
@@ -150,15 +140,15 @@ def _ap_from_pr(recall: list[float], precision: list[float], mode: ApMode) -> fl
     return area
 
 
-def voc_ap(detections: list[Detection], gts: list[GroundTruth],
+def voc_ap(rows, gts: list[GroundTruth],
            mode: ApMode = ApMode.ELEVEN_POINT) -> ApResult:
     """Average precision per class with greedy one-to-one matching.
 
-    Detections are sorted by confidence descending (stable, so equal
-    scores keep input order); each detection matches the highest-IoU
-    unclaimed gt instance in its image, counting as a true positive only
-    at IoU >= 0.5. Classes without gt instances are excluded from the
-    mean and reported in skipped_classes.
+    ``rows`` are detections as ``io_formats.read_scored`` returns them,
+    sorted by objectness descending (stable, so equal scores keep input
+    order); each matches the highest-IoU unclaimed gt instance in its
+    image, counting as a true positive only at IoU >= 0.5. Classes without
+    gt instances are excluded from the mean and reported in skipped_classes.
     """
     gt_index: dict[tuple[str, int], list[GtInstance]] = {}
     npos: dict[int, int] = {}
@@ -167,13 +157,13 @@ def voc_ap(detections: list[Detection], gts: list[GroundTruth],
             gt_index.setdefault((gt.image_id, inst.class_id), []).append(inst)
             npos[inst.class_id] = npos.get(inst.class_id, 0) + 1
 
-    det_classes = {d.class_id for d in detections}
+    det_classes = {d.class_id for d in rows}
     skipped = tuple(sorted(det_classes - set(npos)))
 
     per_class: dict[int, float] = {}
     for cid in sorted(npos):
-        dets = sorted([d for d in detections if d.class_id == cid],
-                      key=lambda d: -d.score)
+        dets = sorted([d for d in rows if d.class_id == cid],
+                      key=lambda d: -d.objectness)
         if not dets:
             per_class[cid] = 0.0
             continue
@@ -283,24 +273,20 @@ def score_corpus(scenes, cfg: ScoringConfig,
     return pools, all_scored
 
 
-def ablation_sweep(scenes, ratios: list[float], fractions: list[float],
-                   base: ScoringConfig = ScoringConfig()) -> SweepResult:
-    """Evaluate recall@1 over the full (ratio, fraction) cross-product.
+def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> SweepResult:
+    """Evaluate recall@1 over the full (ratio, fraction) cross-product, the
+    other ScoringConfig fields at their defaults.
 
-    Cells share the scoring code path with production runs; the sweep is
+    ``scenes`` are as for ``score_corpus``, with a gt of GtInstances. Cells
+    share the scoring code path with production runs; the sweep is
     deterministic for a fixed corpus.
     """
     scenes = list(scenes)
-    gts = [GroundTruth(image_id=s.image_id,
-                       entries=tuple(GtInstance(class_id=e[0], box=e[1])
-                                     for e in s.gt))
-           for s in scenes]
+    gts = [GroundTruth(image_id=s.image_id, entries=tuple(s.gt)) for s in scenes]
     cells = []
     for ratio in ratios:
         for frac in fractions:
-            cfg = ScoringConfig(enlarge_ratio=ratio, top_fraction=frac,
-                                pool_size=base.pool_size,
-                                empty_ring_policy=base.empty_ring_policy)
+            cfg = ScoringConfig(enlarge_ratio=ratio, top_fraction=frac)
             pools, scored = score_corpus(scenes, cfg)
             curve = recall_at_k(pools, gts, [1])
             mean_obj = (sum(s.objectness for s in scored) / len(scored)

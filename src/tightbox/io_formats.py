@@ -25,6 +25,7 @@ import numpy as np
 
 from .confmap import ConfMap
 from .errors import BundleValidationError, MalformedFileError, ParseError
+from .evaluation import GtInstance
 from .geometry import Box
 from .pseudomask import PseudoMask
 
@@ -250,15 +251,14 @@ def read_boxes(path) -> list[BoxRecord]:
     return _parse_rows(path, [BOX_HEADER, BOX_HEADER + ["score"]], parse)
 
 
-def write_boxes(records: list[BoxRecord], path, with_scores: bool | None = None) -> None:
-    if with_scores is None:
-        with_scores = any(r.score is not None for r in records)
+def write_boxes(records: list[BoxRecord], path) -> None:
+    has_scores = any(r.score is not None for r in records)
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(BOX_HEADER + ["score"] if with_scores else list(BOX_HEADER))
+        w.writerow(BOX_HEADER + ["score"] if has_scores else list(BOX_HEADER))
         for r in records:
             row = [r.image_id, r.class_id, *r.box.as_tuple()]
-            if with_scores:
+            if has_scores:
                 row.append(_fmt(r.score if r.score is not None else 0.0))
             w.writerow(row)
 
@@ -318,7 +318,7 @@ class SceneBundle:
     image_id: str
     meta: dict
     maps: dict[int, ConfMap]
-    gt: tuple[tuple[int, Box, bool], ...]
+    gt: tuple[GtInstance, ...]
     proposals: tuple[tuple[int, Box, float | None], ...] | None
     warnings: tuple[str, ...] = ()
 
@@ -349,7 +349,7 @@ def write_bundle(directory, image_id: str, maps: dict[int, ConfMap],
         write_boxes(
             [BoxRecord(image_id=image_id, class_id=cid, box=b)
              for cid, b in proposals],
-            directory / "proposals.csv", with_scores=False)
+            directory / "proposals.csv")
     meta = {
         "format_version": FORMAT_VERSION,
         "image_id": image_id,
@@ -366,7 +366,7 @@ def write_bundle(directory, image_id: str, maps: dict[int, ConfMap],
 
 
 def write_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_bundle(directory) -> SceneBundle:
@@ -448,7 +448,7 @@ def read_bundle(directory) -> SceneBundle:
         raise BundleValidationError(directory, failures)
     return SceneBundle(
         path=str(directory), image_id=image_id, meta=meta, maps=maps,
-        gt=tuple((r.class_id, r.box, r.ignore) for r in gt_records),
+        gt=tuple(GtInstance(r.class_id, r.box, r.ignore) for r in gt_records),
         proposals=(None if prop_records is None else
                    tuple((r.class_id, r.box, r.score) for r in prop_records)),
         warnings=tuple(warnings))

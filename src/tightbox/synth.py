@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .confmap import ConfMap
+from .errors import TightboxError
 from .geometry import Box, iou, ring
 from .scoring import EmptyRingPolicy, ScoredProposal, ScoringConfig
 
@@ -51,8 +52,8 @@ class SceneSpec:
         object.__setattr__(self, "objects", tuple(self.objects))
         if self.image_w < 1 or self.image_h < 1:
             raise ValueError(f"image must be at least 1x1, got {self.image_w}x{self.image_h}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.blur_radius < 0:
             raise ValueError(f"blur_radius must be >= 0, got {self.blur_radius}")
         by_class: dict[int, list[SceneObject]] = {}
@@ -149,14 +150,13 @@ def gen_scene(spec: SceneSpec) -> tuple[dict[int, ConfMap], list[tuple[int, Box]
     return maps, gt
 
 
-@dataclass(frozen=True)
-class JitterParams:
-    tight_jitter: float = 0.12        # per-side offset, fraction of gt dims
-    partial_scale: tuple[float, float] = (0.9, 1.3)   # size range vs part box
-    partial_shift: float = 0.2        # center offset, fraction of part dims
-    loose_margin: tuple[float, float] = (0.15, 0.5)   # per-side growth vs gt dims
-    bg_size: tuple[int, int] = (8, 48)
-    max_attempts: int = 200
+# Proposal jitter for gen_proposals.
+TIGHT_JITTER = 0.12            # per-side offset, fraction of gt dims
+PARTIAL_SCALE = (0.9, 1.3)     # size range vs part box
+PARTIAL_SHIFT = 0.2            # center offset, fraction of part dims
+LOOSE_MARGIN = (0.15, 0.5)     # per-side growth vs gt dims
+BG_SIZE = (8, 48)              # background box side range, pixels
+PROPOSAL_ATTEMPTS = 200        # rejection-sampling budget per wanted box
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class ProposalCounts:
     def __post_init__(self):
         for name in ("tight", "partial", "loose", "background"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} count must be >= 0")
+                raise ValueError(f"{name} count must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,6 @@ def _try_box(x0, y0, x1, y1, image_w, image_h) -> Box | None:
 
 
 def gen_proposals(spec: SceneSpec, counts: ProposalCounts = ProposalCounts(),
-                  jitter: JitterParams = JitterParams(),
                   seed: int = 0) -> ProposalFamily:
     """Rejection-sample the four proposal families for every scene object.
 
@@ -233,7 +232,7 @@ def gen_proposals(spec: SceneSpec, counts: ProposalCounts = ProposalCounts(),
     def sample(kind, want, make):
         got = []
         attempts = 0
-        budget = jitter.max_attempts * max(want, 1)
+        budget = PROPOSAL_ATTEMPTS * max(want, 1)
         while len(got) < want and attempts < budget:
             attempts += 1
             b = make()
@@ -247,19 +246,19 @@ def gen_proposals(spec: SceneSpec, counts: ProposalCounts = ProposalCounts(),
         g, p, cid = obj.gt_box, obj.part_box, obj.class_id
 
         def make_tight():
-            j = jitter.tight_jitter
+            j = TIGHT_JITTER
             dx = (rng.uniform(-j, j, 2) * g.width).round().astype(int)
             dy = (rng.uniform(-j, j, 2) * g.height).round().astype(int)
             b = _try_box(g.x0 + dx[0], g.y0 + dy[0], g.x1 + dx[1], g.y1 + dy[1], W, H)
             return b if b is not None and iou(b, g) >= 0.5 else None
 
         def make_partial():
-            sw = rng.uniform(*jitter.partial_scale)
-            sh = rng.uniform(*jitter.partial_scale)
+            sw = rng.uniform(*PARTIAL_SCALE)
+            sh = rng.uniform(*PARTIAL_SCALE)
             w = max(1, round(p.width * sw))
             h = max(1, round(p.height * sh))
-            cx = (p.x0 + p.x1) / 2 + rng.uniform(-1, 1) * jitter.partial_shift * p.width
-            cy = (p.y0 + p.y1) / 2 + rng.uniform(-1, 1) * jitter.partial_shift * p.height
+            cx = (p.x0 + p.x1) / 2 + rng.uniform(-1, 1) * PARTIAL_SHIFT * p.width
+            cy = (p.y0 + p.y1) / 2 + rng.uniform(-1, 1) * PARTIAL_SHIFT * p.height
             x0 = round(cx - w / 2)
             y0 = round(cy - h / 2)
             # shift into the gt box rather than clipping so size is preserved
@@ -271,7 +270,7 @@ def gen_proposals(spec: SceneSpec, counts: ProposalCounts = ProposalCounts(),
             return b if _coverage(b, p) >= 0.8 else None
 
         def make_loose():
-            lo, hi = jitter.loose_margin
+            lo, hi = LOOSE_MARGIN
             mx0 = max(1, round(rng.uniform(lo, hi) * g.width))
             mx1 = max(1, round(rng.uniform(lo, hi) * g.width))
             my0 = max(1, round(rng.uniform(lo, hi) * g.height))
@@ -288,8 +287,8 @@ def gen_proposals(spec: SceneSpec, counts: ProposalCounts = ProposalCounts(),
             f"object {obj_idx} loose", counts.loose, make_loose))
 
         def make_background():
-            w = int(rng.integers(jitter.bg_size[0], jitter.bg_size[1] + 1))
-            h = int(rng.integers(jitter.bg_size[0], jitter.bg_size[1] + 1))
+            w = int(rng.integers(BG_SIZE[0], BG_SIZE[1] + 1))
+            h = int(rng.integers(BG_SIZE[0], BG_SIZE[1] + 1))
             if w >= W or h >= H:
                 return None
             x0 = int(rng.integers(0, W - w))
@@ -339,21 +338,28 @@ def oracle_score(m: ConfMap, b: Box, cfg: ScoringConfig) -> ScoredProposal:
                           p_surround=p_sur, objectness=p_in - p_sur)
 
 
+# Sampling ranges for randomly generated part-trap scenes.
+GT_SIZE = (40, 80)             # gt box side range, pixels
+PART_FRAC = (0.3, 0.5)         # part side vs gt side
+BODY_CONF = (0.55, 0.75)
+PART_CONF = (0.9, 1.0)
+BG_CONF = (0.02, 0.1)
+N_CLASSES = 20
+TRAP_ATTEMPTS = 50
+
+
 @dataclass(frozen=True)
 class TrapParams:
-    """Sampling ranges for randomly generated part-trap scenes."""
+    """Image size and degradation for randomly generated part-trap scenes."""
 
     image_w: int = 128
     image_h: int = 128
-    gt_size: tuple[int, int] = (40, 80)
-    part_frac: tuple[float, float] = (0.3, 0.5)
-    body_conf: tuple[float, float] = (0.55, 0.75)
-    part_conf: tuple[float, float] = (0.9, 1.0)
-    bg_conf: tuple[float, float] = (0.02, 0.1)
     noise_sigma: float = 0.0
     blur_radius: int = 0
-    n_classes: int = 20
-    max_attempts: int = 50
+
+    def __post_init__(self):  # the scene's own checks on size, noise and blur
+        SceneSpec(image_w=self.image_w, image_h=self.image_h, objects=(),
+                  noise_sigma=self.noise_sigma, blur_radius=self.blur_radius)
 
 
 def make_trap_spec(seed: int, params: TrapParams = TrapParams()) -> SceneSpec:
@@ -366,9 +372,9 @@ def make_trap_spec(seed: int, params: TrapParams = TrapParams()) -> SceneSpec:
     rng = np.random.default_rng(seed)
     W, H = params.image_w, params.image_h
     cfg = ScoringConfig()
-    for _ in range(params.max_attempts):
-        gw = int(rng.integers(params.gt_size[0], params.gt_size[1] + 1))
-        gh = int(rng.integers(params.gt_size[0], params.gt_size[1] + 1))
+    for _ in range(TRAP_ATTEMPTS):
+        gw = int(rng.integers(GT_SIZE[0], GT_SIZE[1] + 1))
+        gh = int(rng.integers(GT_SIZE[0], GT_SIZE[1] + 1))
         # leave room for the enlarged ring so the trap is testable
         margin_x = max(2, math.ceil(gw * 0.12))
         margin_y = max(2, math.ceil(gh * 0.12))
@@ -378,8 +384,8 @@ def make_trap_spec(seed: int, params: TrapParams = TrapParams()) -> SceneSpec:
         gy0 = int(rng.integers(margin_y, H - gh - margin_y + 1))
         gt_box = Box(gx0, gy0, gx0 + gw, gy0 + gh)
 
-        pw = max(2, round(gw * rng.uniform(*params.part_frac)))
-        ph = max(2, round(gh * rng.uniform(*params.part_frac)))
+        pw = max(2, round(gw * rng.uniform(*PART_FRAC)))
+        ph = max(2, round(gh * rng.uniform(*PART_FRAC)))
         if pw >= gw - 1 or ph >= gh - 1:
             continue
         px0 = gx0 + 1 + int(rng.integers(0, gw - pw - 1))
@@ -387,11 +393,11 @@ def make_trap_spec(seed: int, params: TrapParams = TrapParams()) -> SceneSpec:
         part_box = Box(px0, py0, px0 + pw, py0 + ph)
 
         obj = SceneObject(
-            class_id=int(rng.integers(1, params.n_classes + 1)),
+            class_id=int(rng.integers(1, N_CLASSES + 1)),
             gt_box=gt_box, part_box=part_box,
-            body_conf=float(rng.uniform(*params.body_conf)),
-            part_conf=float(rng.uniform(*params.part_conf)),
-            bg_conf=float(rng.uniform(*params.bg_conf)))
+            body_conf=float(rng.uniform(*BODY_CONF)),
+            part_conf=float(rng.uniform(*PART_CONF)),
+            bg_conf=float(rng.uniform(*BG_CONF)))
         clean = SceneSpec(image_w=W, image_h=H, objects=(obj,), seed=seed)
         maps, _ = gen_scene(clean)
         m = maps[obj.class_id]
@@ -400,8 +406,8 @@ def make_trap_spec(seed: int, params: TrapParams = TrapParams()) -> SceneSpec:
         if s_part.p_inside > s_gt.p_inside and s_gt.objectness > s_part.objectness:
             return replace(clean, noise_sigma=params.noise_sigma,
                            blur_radius=params.blur_radius)
-    raise RuntimeError(f"could not certify a trap scene for seed {seed} "
-                       f"within {params.max_attempts} attempts")
+    raise TightboxError(f"could not certify a trap scene for seed {seed} on a "
+                        f"{W}x{H} image within {TRAP_ATTEMPTS} attempts")
 
 
 def make_linked_spec(seed: int, params: TrapParams = TrapParams()) -> SceneSpec:
@@ -410,16 +416,20 @@ def make_linked_spec(seed: int, params: TrapParams = TrapParams()) -> SceneSpec:
     Enlarged boxes of either instance pick up the neighbor's confidence,
     so the surround penalty wrongly suppresses tight boxes.
     """
-    rng = np.random.default_rng(seed)
     W, H = params.image_w, params.image_h
-    gw = int(rng.integers(params.gt_size[0], min(params.gt_size[1], W // 2 - 4) + 1))
-    gh = int(rng.integers(params.gt_size[0], min(params.gt_size[1], H - 4) + 1))
+    max_w, max_h = min(GT_SIZE[1], W // 2 - 4), min(GT_SIZE[1], H - 4)
+    if max_w < GT_SIZE[0] or max_h < GT_SIZE[0]:
+        raise TightboxError(f"linked scene for seed {seed} does not fit a {W}x{H} "
+                            f"image; it needs at least {2 * GT_SIZE[0] + 8}x{GT_SIZE[0] + 4}")
+    rng = np.random.default_rng(seed)
+    gw = int(rng.integers(GT_SIZE[0], max_w + 1))
+    gh = int(rng.integers(GT_SIZE[0], max_h + 1))
     gx0 = max(2, (W - 2 * gw) // 2)
     gy0 = max(2, (H - gh) // 2)
-    cid = int(rng.integers(1, params.n_classes + 1))
-    body = float(rng.uniform(*params.body_conf))
-    part = float(rng.uniform(*params.part_conf))
-    bg = float(rng.uniform(*params.bg_conf))
+    cid = int(rng.integers(1, N_CLASSES + 1))
+    body = float(rng.uniform(*BODY_CONF))
+    part = float(rng.uniform(*PART_CONF))
+    bg = float(rng.uniform(*BG_CONF))
 
     def one(x0):
         gt_box = Box(x0, gy0, x0 + gw, gy0 + gh)

@@ -5,9 +5,9 @@ Every expected value was worked out by hand from the matching rules
 instance usable once). The acceptance suite replays all of them at 1e-9.
 """
 
-from tightbox.evaluation import (ApMode, CandidatePool, Detection, GroundTruth,
-                                 GtInstance)
+from tightbox.evaluation import ApMode, CandidatePool, GroundTruth, GtInstance
 from tightbox.geometry import Box
+from tightbox.io_formats import ScoredRecord
 from tightbox.scoring import ScoredProposal
 
 
@@ -74,41 +74,47 @@ RECALL_FIXTURES = [
      [1], (1.0,), 1.0),
 ]
 
-# --- corloc fixtures: (name, top1, gts, expected per_class, expected mean) ---
+# --- corloc fixtures: (name, pools, gts, expected per_class, expected mean) ---
 CORLOC_FIXTURES = [
     ("perfect",
-     {("i1", 1): entry(HIT)}, [gt("i1", (1, G))], {1: 1.0}, 1.0),
+     [pool("i1", 1, [HIT])], [gt("i1", (1, G))], {1: 1.0}, 1.0),
     ("no_overlap",
-     {("i1", 1): entry(FAR)}, [gt("i1", (1, G))], {1: 0.0}, 0.0),
+     [pool("i1", 1, [FAR])], [gt("i1", (1, G))], {1: 0.0}, 0.0),
     ("two_of_three_images",
-     {("i1", 1): entry(HIT), ("i2", 1): entry(FAR), ("i3", 1): entry(HIT_06)},
+     [pool("i1", 1, [HIT]), pool("i2", 1, [FAR]), pool("i3", 1, [HIT_06])],
      [gt("i1", (1, G)), gt("i2", (1, G)), gt("i3", (1, G))],
      {1: 2 / 3}, 2 / 3),
     ("mean_over_classes",
-     {("i1", 1): entry(HIT), ("i1", 2): entry(FAR)},
+     [pool("i1", 1, [HIT]), pool("i1", 2, [FAR])],
      [gt("i1", (1, G), (2, G))], {1: 1.0, 2: 0.0}, 0.5),
     ("any_instance_of_the_class_counts",
-     {("i1", 1): entry(Box(20, 20, 30, 30))},
+     [pool("i1", 1, [Box(20, 20, 30, 30)])],
      [gt("i1", (1, G), (1, Box(20, 20, 30, 30)))], {1: 1.0}, 1.0),
     ("missing_top_box_is_a_miss",
-     {}, [gt("i1", (1, G))], {1: 0.0}, 0.0),
+     [], [gt("i1", (1, G))], {1: 0.0}, 0.0),
+    ("empty_pool_is_a_miss",
+     [pool("i1", 1, [])], [gt("i1", (1, G))], {1: 0.0}, 0.0),
+    ("only_the_first_entry_counts",
+     [pool("i1", 1, [FAR, HIT])], [gt("i1", (1, G))], {1: 0.0}, 0.0),
     ("iou_exactly_half_hits",
-     {("i1", 1): entry(HIT_EDGE)}, [gt("i1", (1, G))], {1: 1.0}, 1.0),
+     [pool("i1", 1, [HIT_EDGE])], [gt("i1", (1, G))], {1: 1.0}, 1.0),
     ("unbalanced_classes",
-     {("i1", 1): entry(HIT), ("i2", 1): entry(FAR), ("i1", 2): entry(HIT)},
+     [pool("i1", 1, [HIT]), pool("i2", 1, [FAR]), pool("i1", 2, [HIT])],
      [gt("i1", (1, G), (2, G)), gt("i2", (1, G))],
      {1: 0.5, 2: 1.0}, 0.75),
     ("keyed_by_image_and_class",
-     {("i1", 1): entry(HIT), ("i2", 1): entry(FAR)},
+     [pool("i1", 1, [HIT]), pool("i2", 1, [FAR])],
      [gt("i1", (1, G)), gt("i2", (1, G))], {1: 0.5}, 0.5),
     ("two_classes_both_hit",
-     {("i1", 1): entry(HIT), ("i1", 2): entry(HIT_06)},
+     [pool("i1", 1, [HIT]), pool("i1", 2, [HIT_06])],
      [gt("i1", (1, G), (2, G))], {1: 1.0, 2: 1.0}, 1.0),
 ]
 
 
 def det(image_id, class_id, box, score):
-    return Detection(image_id=image_id, class_id=class_id, box=box, score=score)
+    """A scored row as read_scored returns it, with ``score`` as objectness."""
+    return ScoredRecord(image_id=image_id, class_id=class_id, box=box,
+                        p_inside=score, p_surround=0.0, objectness=score)
 
 
 # --- voc_ap fixtures: (name, detections, gts, expected {mode: (mAP, per_class)}) ---

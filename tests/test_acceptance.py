@@ -169,8 +169,8 @@ def test_criterion_5_metric_correctness():
         assert abs(curve.upper_bound - upper) <= 1e-9, f"recall fixture {name}"
         checked += 1
     n_recall = checked
-    for name, top1, gts, per_class, mean in CORLOC_FIXTURES:
-        result = corloc(top1, gts)
+    for name, pools, gts, per_class, mean in CORLOC_FIXTURES:
+        result = corloc(pools, gts)
         assert abs(result.mean - mean) <= 1e-9, f"corloc fixture {name}"
         for cid, v in per_class.items():
             assert abs(result.per_class[cid] - v) <= 1e-9, f"corloc fixture {name}"

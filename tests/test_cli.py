@@ -48,6 +48,26 @@ class TestSynth:
         assert "-3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--noise", "nan"), ("--noise", "inf"), ("--noise", "-1"),
+        ("--blur", "-1"), ("--tight", "-1"), ("--width", "0")])
+    def test_bad_number_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "corpus"
+        assert run(["synth", "--out", out, flag, value]) == 1
+        assert f"got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra,size", [
+        (["--width", "8"], "8x128"),
+        (["--failure-mode", "linked", "--width", "64"], "64x128")],
+        ids=["trap-width-8", "linked-width-64"])
+    def test_geometry_that_cannot_fit_is_data_error(self, tmp_path, capsys,
+                                                    extra, size):
+        assert run(["synth", "--out", tmp_path / "corpus", "--seed", "4",
+                    *extra]) == 2
+        err = capsys.readouterr().err
+        assert "seed 4" in err and size in err
+
     def test_linked_failure_mode_produces_touching_instances(self, tmp_path):
         out = tmp_path / "corpus"
         assert run(["synth", "--out", out, "--scenes", "1", "--seed", "3",
@@ -189,6 +209,19 @@ class TestEval:
         payload = json.loads(out.read_text())
         assert payload["mAP"] == pytest.approx(0.5, abs=1e-9)
         assert payload["mode"] == "11pt"
+
+    @pytest.mark.parametrize("args,value", [
+        (["recall", "--ks", "0"], "0"),
+        (["sweep", "--ratios", "nan"], "nan"),
+        (["sweep", "--ratios", "1.2,0.5"], "0.5"),
+        (["sweep", "--fracs", "0"], "0")],
+        ids=["ks-0", "ratios-nan", "ratios-0.5", "fracs-0"])
+    def test_bad_list_value_is_usage_error(self, corpus, tmp_path, capsys,
+                                           args, value):
+        # the scored file does not exist: validation comes before any reading
+        extra = ["--scored", tmp_path / "none.csv"] if args[0] == "recall" else []
+        assert run(["eval", args[0], "--corpus", corpus, *args[1:], *extra]) == 1
+        assert f"got {value}" in capsys.readouterr().err
 
     def test_sweep_grid_and_report(self, corpus, tmp_path):
         out = tmp_path / "sweep.json"

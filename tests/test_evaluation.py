@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from metric_fixtures import (AP_FIXTURES, CORLOC_FIXTURES, RECALL_FIXTURES,
-                             det, entry, gt, pool)
-from tightbox.evaluation import (ApMode, ablation_sweep, corloc, recall_at_k,
-                                 score_corpus, voc_ap)
+                             det, gt, pool)
+from tightbox.evaluation import (ApMode, GroundTruth, GtInstance, ablation_sweep,
+                                 corloc, recall_at_k, score_corpus, voc_ap)
 from tightbox.geometry import Box
 from tightbox.scoring import ScoringConfig
 from tightbox.synth import ProposalCounts, gen_proposals, gen_scene, make_trap_spec
@@ -20,10 +20,10 @@ def test_recall_fixtures(name, pools, gts, ks, expected, upper):
     assert curve.upper_bound == pytest.approx(upper, abs=1e-9)
 
 
-@pytest.mark.parametrize("name,top1,gts,per_class,mean",
+@pytest.mark.parametrize("name,pools,gts,per_class,mean",
                          CORLOC_FIXTURES, ids=[f[0] for f in CORLOC_FIXTURES])
-def test_corloc_fixtures(name, top1, gts, per_class, mean):
-    result = corloc(top1, gts)
+def test_corloc_fixtures(name, pools, gts, per_class, mean):
+    result = corloc(pools, gts)
     assert set(result.per_class) == set(per_class)
     for cid, v in per_class.items():
         assert result.per_class[cid] == pytest.approx(v, abs=1e-9)
@@ -72,14 +72,13 @@ class TestCorlocRecallConsistency:
         # one instance per (image, class), each class in exactly one image
         G = Box(0, 0, 10, 10)
         hits = [True, True, False, True]
-        pools, gts, top1 = [], [], {}
+        pools, gts = [], []
         for i, hit in enumerate(hits):
             box = G if hit else Box(30, 30, 40, 40)
             pools.append(pool(f"i{i}", i + 1, [box]))
-            top1[(f"i{i}", i + 1)] = entry(box)
             gts.append(gt(f"i{i}", (i + 1, G)))
         curve = recall_at_k(pools, gts, [1])
-        result = corloc(top1, gts)
+        result = corloc(pools, gts)
         assert curve.recalls[0] == pytest.approx(result.mean, abs=1e-12)
 
 
@@ -144,7 +143,8 @@ def tiny_corpus(n_scenes=6, noise=0.0, blur=0, seed0=500):
         fam = gen_proposals(spec, ProposalCounts(5, 5, 2, 5), seed=seed0 + i)
         proposals = [(cid, box) for _, cid, box in fam.all_entries()]
         scenes.append(FakeScene(image_id=f"s{i}", maps=maps,
-                                gt=[(c, b, False) for c, b in gt_rows],
+                                gt=[GtInstance(class_id=c, box=b)
+                                    for c, b in gt_rows],
                                 proposals=proposals))
     return scenes
 
@@ -188,10 +188,7 @@ class TestAblationSweep:
         result = ablation_sweep(scenes, [1.2], [0.5])
         cell = result.cells[0]
         pools_pi, _ = score_corpus(scenes, ScoringConfig(), baseline_purity=True)
-        from tightbox.evaluation import GroundTruth, GtInstance
-        gts = [GroundTruth(image_id=s.image_id,
-                           entries=tuple(GtInstance(class_id=c, box=b)
-                                         for c, b, _ in s.gt))
+        gts = [GroundTruth(image_id=s.image_id, entries=tuple(s.gt))
                for s in scenes]
         purity_recall = recall_at_k(pools_pi, gts, [1]).recalls[0]
         assert cell.recall_at_1 > purity_recall

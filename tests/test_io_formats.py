@@ -5,6 +5,7 @@ import pytest
 
 from tightbox.confmap import ConfMap
 from tightbox.errors import BundleValidationError, MalformedFileError, ParseError
+from tightbox.evaluation import GtInstance
 from tightbox.geometry import Box
 from tightbox.io_formats import (BoxRecord, GtRecord, ScoredRecord,
                                  read_boxes, read_bundle, read_confmap,
@@ -12,7 +13,7 @@ from tightbox.io_formats import (BoxRecord, GtRecord, ScoredRecord,
                                  read_scored, write_boxes, write_bundle,
                                  write_confmap, write_confmap_pgm,
                                  write_confmap_raw, write_ground_truth,
-                                 write_mask, write_scored)
+                                 write_json, write_mask, write_scored)
 from tightbox.pseudomask import IGNORE, PseudoMask
 
 
@@ -241,6 +242,16 @@ class TestBundles:
         assert len(bundle.proposals) == 2
         assert bundle.warnings == ()
 
+    def test_gt_rows_load_as_instances_with_ignore_flag(self, tmp_path):
+        path = self.make_bundle(tmp_path)
+        (path / "gt.csv").write_text(
+            "image_id,class_id,x0,y0,x1,y1,ignore_flag\n"
+            "scene,1,2,2,10,10,0\n"
+            "scene,3,5,5,12,12,1\n")
+        assert read_bundle(path).gt == (
+            GtInstance(class_id=1, box=Box(2, 2, 10, 10)),
+            GtInstance(class_id=3, box=Box(5, 5, 12, 12), ignore=True))
+
     def test_out_of_bounds_gt_box_named_in_failure(self, tmp_path):
         path = self.make_bundle(tmp_path)
         gt_path = path / "gt.csv"
@@ -288,3 +299,11 @@ class TestBundles:
         (tmp_path / "nothing").mkdir()
         with pytest.raises(BundleValidationError):
             read_corpus(tmp_path / "nothing")
+
+
+def test_write_json_rejects_non_finite_numbers(tmp_path):
+    path = tmp_path / "manifest.json"
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            write_json({"noise": value}, path)
+    assert not path.exists()
