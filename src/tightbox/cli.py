@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .errors import TightboxError
 from .evaluation import (ApMode, GroundTruth, ablation_sweep, corloc,
-                         recall_at_k, score_corpus, voc_ap)
+                         recall_at_k, score_corpus, sweep_configs, voc_ap)
 from .io_formats import (ScoredRecord, read_boxes, read_confmap, read_corpus,
                          read_scored, write_bundle, write_json, write_mask,
                          write_scored)
@@ -136,15 +136,15 @@ def cmd_synth(args) -> int:
                                 loose=args.loose, background=args.background)
     except ValueError as exc:
         raise UsageError(str(exc))
+    # every scene's geometry is built and certified before anything is
+    # written, so an infeasible scene leaves no partial corpus behind
+    make_spec = make_linked_spec if args.failure_mode == "linked" else make_trap_spec
+    specs = [make_spec(args.seed + i, params) for i in range(args.scenes)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for i in range(args.scenes):
+    for i, spec in enumerate(specs):
         scene_seed = args.seed + i
-        if args.failure_mode == "linked":
-            spec = make_linked_spec(scene_seed, params)
-        else:
-            spec = make_trap_spec(scene_seed, params)
         maps, gt = gen_scene(spec)
         family = gen_proposals(spec, counts, seed=scene_seed)
         image_id = f"scene_{i:04d}"
@@ -239,9 +239,7 @@ def cmd_eval_map(args) -> int:
 def cmd_eval_sweep(args) -> int:
     ratios, fracs = _float_list(args.ratios), _float_list(args.fracs)
     try:
-        for ratio in ratios:
-            for frac in fracs:
-                ScoringConfig(enlarge_ratio=ratio, top_fraction=frac)
+        sweep_configs(ratios, fracs)
     except ValueError as exc:
         raise UsageError(str(exc))
     bundles = read_corpus(args.corpus)

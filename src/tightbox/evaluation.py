@@ -8,11 +8,13 @@ ground-truth instance claimable at most once.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 
 from .confmap import build_integral
 from .geometry import Box, iou
-from .scoring import (CandidatePool, ScoringConfig, build_pool,
+from .scoring import (CandidatePool, EmptyRingPolicy, ScoringConfig,
+                      _score_grid, build_pool,
                       purity_only_score, score_batch)
 
 IOU_THRESHOLD = 0.5
@@ -243,6 +245,20 @@ class SweepResult:
         return "\n".join(lines)
 
 
+def _class_maps(scene):
+    """(class_id, ConfMap, boxes) per class with proposals, class ids
+    ascending, boxes in proposal order."""
+    by_class: dict[int, list[Box]] = {}
+    for entry in scene.proposals:
+        cid, box = entry[0], entry[1]
+        by_class.setdefault(cid, []).append(box)
+    for cid in sorted(by_class):
+        if cid not in scene.maps:
+            raise ValueError(f"{scene.image_id}: proposals for class {cid} "
+                             f"but no confidence map")
+        yield cid, scene.maps[cid], by_class[cid]
+
+
 def score_corpus(scenes, cfg: ScoringConfig,
                  baseline_purity: bool = False) -> tuple[list[CandidatePool], list]:
     """Score every scene's proposals per class and build candidate pools.
@@ -254,46 +270,74 @@ def score_corpus(scenes, cfg: ScoringConfig,
     pools = []
     all_scored = []
     for scene in scenes:
-        by_class: dict[int, list[Box]] = {}
-        for entry in scene.proposals:
-            cid, box = entry[0], entry[1]
-            by_class.setdefault(cid, []).append(box)
-        for cid in sorted(by_class):
-            if cid not in scene.maps:
-                raise ValueError(f"{scene.image_id}: proposals for class {cid} "
-                                 f"but no confidence map")
-            m = scene.maps[cid]
+        for cid, m, boxes in _class_maps(scene):
             if baseline_purity:
                 ii = build_integral(m)
-                scored = [purity_only_score(ii, b) for b in by_class[cid]]
+                scored = [purity_only_score(ii, b) for b in boxes]
             else:
-                scored = score_batch(m, by_class[cid], cfg)
+                scored = score_batch(m, boxes, cfg)
             pools.append(build_pool(scored, cfg, image_id=scene.image_id))
             all_scored.extend(scored)
     return pools, all_scored
+
+
+def sweep_configs(ratios: list[float],
+                  fractions: list[float]) -> list[list[ScoringConfig]]:
+    """The sweep's ScoringConfig per (ratio, fraction) cell, ratios down.
+
+    Every cell is validated, and a ratio or a fraction whose ``:g`` key
+    repeats is a ValueError (1.2 and 1.2000001 would share one cell of
+    the sweep table).
+    """
+    for name, values in (("ratio", ratios), ("fraction", fractions)):
+        seen = set()
+        for v in values:
+            key = f"{v:g}"
+            if key in seen:
+                raise ValueError(f"repeated sweep {name} {key} (the sweep "
+                                 f"table keys cells by :g), got {v!r}")
+            seen.add(key)
+    return [[ScoringConfig(enlarge_ratio=r, top_fraction=f) for f in fractions]
+            for r in ratios]
 
 
 def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> SweepResult:
     """Evaluate recall@1 over the full (ratio, fraction) cross-product, the
     other ScoringConfig fields at their defaults.
 
-    ``scenes`` are as for ``score_corpus``, with a gt of GtInstances. Cells
-    share the scoring code path with production runs; the sweep is
-    deterministic for a fixed corpus.
+    ``scenes`` are as for ``score_corpus``, with a gt of GtInstances. The
+    corpus is walked once: each (scene, class) map gets one integral and
+    one call of the scoring kernel for the whole grid, which gathers each
+    ring once per ratio. Every cell equals a ``score_corpus`` run at its
+    configuration: the same recall@1 and the same mean objectness, summed
+    in corpus order. Inside the sweep each pool keeps only its first
+    entry, the one recall@1 reads.
     """
-    scenes = list(scenes)
-    gts = [GroundTruth(image_id=s.image_id, entries=tuple(s.gt)) for s in scenes]
+    cfgs = sweep_configs(ratios, fractions)
+    grid = [(i, j, cfg) for i, row in enumerate(cfgs) for j, cfg in enumerate(row)]
+    pools = [[] for _ in grid]
+    objectness = [array("d") for _ in grid]
+    gts = []
+    for scene in scenes:
+        gts.append(GroundTruth(image_id=scene.image_id, entries=tuple(scene.gt)))
+        for _, m, boxes in _class_maps(scene):
+            scored = _score_grid(m, boxes, ratios, fractions,
+                                 EmptyRingPolicy.ZERO)
+            for c, (i, j, cfg) in enumerate(grid):
+                pool = build_pool(scored[i][j], cfg, image_id=scene.image_id)
+                pools[c].append(replace(pool, entries=pool.entries[:1]))
+                objectness[c].extend(s.objectness for s in scored[i][j])
     cells = []
-    for ratio in ratios:
-        for frac in fractions:
-            cfg = ScoringConfig(enlarge_ratio=ratio, top_fraction=frac)
-            pools, scored = score_corpus(scenes, cfg)
-            curve = recall_at_k(pools, gts, [1])
-            mean_obj = (sum(s.objectness for s in scored) / len(scored)
-                        if scored else 0.0)
-            cells.append(SweepCell(
-                ratio=ratio, fraction=frac,
-                recall_at_1=curve.recalls[0], mean_objectness=mean_obj,
-                is_default=(ratio == 1.2 and frac == 0.5)))
+    for c, (_, _, cfg) in enumerate(grid):
+        ratio, frac = cfg.enlarge_ratio, cfg.top_fraction
+        curve = recall_at_k(pools[c], gts, [1])
+        obj = objectness[c]
+        # the builtin sum over the corpus-order values, as a score_corpus
+        # run's mean is taken
+        mean_obj = sum(obj) / len(obj) if obj else 0.0
+        cells.append(SweepCell(
+            ratio=ratio, fraction=frac,
+            recall_at_1=curve.recalls[0], mean_objectness=mean_obj,
+            is_default=(ratio == 1.2 and frac == 0.5)))
     return SweepResult(cells=tuple(cells), ratios=tuple(ratios),
                        fractions=tuple(fractions))

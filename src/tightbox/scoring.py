@@ -7,9 +7,11 @@ version (surrounding completeness). Tight boxes have high purity and low
 surrounding completeness, so the difference ranks them above boxes stuck
 on discriminative object parts.
 
-Both statistics come from one kernel: box means from the summed-area
-table, ring pixels gathered into a scratch buffer and reduced by an exact
-top-k mean. ``score`` and ``score_batch`` are thin entry points over it.
+Both statistics come from one kernel over a grid of enlarge ratios and
+top fractions: box means from the summed-area table, ring pixels gathered
+into a scratch buffer once per ratio and reduced by an exact top-k mean
+per fraction. ``score`` and ``score_batch`` call it with a 1x1 grid, the
+ablation sweep with its whole grid.
 """
 
 from __future__ import annotations
@@ -149,53 +151,76 @@ def _gather_ring(values: np.ndarray, buf: np.ndarray,
     return n
 
 
-def _topk_mean(buf: np.ndarray, n: int, top_fraction: float) -> float:
-    """Mean of the k largest of buf[:n]; partitions the buffer in place."""
+def _topk_mean(buf: np.ndarray, n: int, top_fraction: float,
+               copy: bool = False) -> float:
+    """Mean of the k largest of buf[:n]; partitions the buffer in place
+    unless ``copy`` is set, in which case a copy of it is partitioned."""
     k = top_k_count(n, top_fraction)
     v = buf[:n]
     if k >= n:
         return float(v.sum(dtype=np.float64) / n)
+    if copy:
+        v = v.copy()
     v.partition(n - k)
     return float(v[n - k:].sum(dtype=np.float64) / k)
 
 
 def _score_boxes(m: ConfMap, ii: IntegralImage, boxes: list[Box],
-                 cfg: ScoringConfig) -> list[ScoredProposal]:
-    """The scoring kernel: one ScoredProposal per box, in input order.
+                 ratios: list[float], fractions: list[float],
+                 policy: EmptyRingPolicy) -> list[list[list[ScoredProposal]]]:
+    """The scoring kernel over a (ratio x fraction) grid.
 
-    Boxes must lie inside the map. Box means come from the integral
-    table, ring surrounds from the strip gather and an in-place top-k
-    mean; all sums are float64.
+    ``grid[i][j]`` holds one ScoredProposal per box, in input order, at
+    ``ratios[i]`` and ``fractions[j]``. Boxes must lie inside the map.
+    Box means come from the integral table once; each ring is gathered
+    once per ratio with the strip gather. Fractions are taken largest
+    first: plain means (k = n) read the gathered ring as it is, the
+    others partition a copy, and the smallest fraction partitions the
+    ring in place, so a 1x1 grid copies nothing. All sums are float64.
     """
-    if not boxes:
-        return []
+    if not boxes or not fractions:
+        return [[[] for _ in fractions] for _ in ratios]
     coords = np.array([b.as_tuple() for b in boxes], dtype=np.int64)
     x0, y0, x1, y1 = coords.T
     t = ii.table
     # same 4-corner expression and operation order as IntegralImage.box_sum
     p_in = (t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0]) / ((x1 - x0) * (y1 - y0))
-    outer = enlarge_coords(x0, y0, x1, y1, cfg.enlarge_ratio, m.width, m.height)
-    geo = np.stack([*outer, x0, y0, x1, y1], axis=1).tolist()
+    p_in = p_in.tolist()
 
-    skip_on_empty = cfg.empty_ring_policy is EmptyRingPolicy.SKIP
-    frac = cfg.top_fraction
+    skip_on_empty = policy is EmptyRingPolicy.SKIP
+    order = sorted(range(len(fractions)), key=fractions.__getitem__, reverse=True)
+    copied = [(j, fractions[j]) for j in order[:-1]]
+    last, last_frac = order[-1], fractions[order[-1]]
     values = m.values
     class_id = m.class_id
     gather = _gather_ring
     topk = _topk_mean
     buf = np.empty(m.width * m.height, dtype=values.dtype)
-    out = []
-    for g, pi, box in zip(geo, p_in.tolist(), boxes):
-        n = gather(values, buf, g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7])
-        if n == 0:
-            out.append(ScoredProposal(box=box, class_id=class_id, p_inside=pi,
-                                      p_surround=0.0, objectness=pi,
-                                      excluded=skip_on_empty))
-            continue
-        ps = topk(buf, n, frac)
-        out.append(ScoredProposal(box=box, class_id=class_id, p_inside=pi,
-                                  p_surround=ps, objectness=pi - ps))
-    return out
+    grid = []
+    for ratio in ratios:
+        outer = enlarge_coords(x0, y0, x1, y1, ratio, m.width, m.height)
+        geo = np.stack([*outer, x0, y0, x1, y1], axis=1).tolist()
+        cells = [[] for _ in fractions]
+        for g, pi, box in zip(geo, p_in, boxes):
+            n = gather(values, buf, g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7])
+            if n == 0:
+                sp = ScoredProposal(box=box, class_id=class_id, p_inside=pi,
+                                    p_surround=0.0, objectness=pi,
+                                    excluded=skip_on_empty)
+                for cell in cells:
+                    cell.append(sp)
+                continue
+            for j, frac in copied:
+                ps = topk(buf, n, frac, True)
+                cells[j].append(ScoredProposal(box=box, class_id=class_id,
+                                               p_inside=pi, p_surround=ps,
+                                               objectness=pi - ps))
+            ps = topk(buf, n, last_frac)
+            cells[last].append(ScoredProposal(box=box, class_id=class_id,
+                                              p_inside=pi, p_surround=ps,
+                                              objectness=pi - ps))
+        grid.append(cells)
+    return grid
 
 
 def score(m: ConfMap, ii: IntegralImage, b: Box,
@@ -207,7 +232,8 @@ def score(m: ConfMap, ii: IntegralImage, b: Box,
     """
     if not m.contains_box(b):
         raise ValueError(f"box {b} exceeds map bounds {m.width}x{m.height}")
-    return _score_boxes(m, ii, [b], cfg)[0]
+    return _score_boxes(m, ii, [b], [cfg.enlarge_ratio], [cfg.top_fraction],
+                        cfg.empty_ring_policy)[0][0][0]
 
 
 def score_batch(m: ConfMap, boxes: list[Box],
@@ -218,11 +244,23 @@ def score_batch(m: ConfMap, boxes: list[Box],
     box, so the batch either completes for all boxes or fails before
     scoring any.
     """
+    return _score_grid(m, boxes, [cfg.enlarge_ratio], [cfg.top_fraction],
+                       cfg.empty_ring_policy)[0][0]
+
+
+def _score_grid(m: ConfMap, boxes: list[Box], ratios: list[float],
+                fractions: list[float],
+                policy: EmptyRingPolicy) -> list[list[list[ScoredProposal]]]:
+    """Bounds check, the map's integral, then the kernel over the grid.
+
+    The integral is built through this module's ``build_integral`` name,
+    once per call whatever the grid's size.
+    """
     bad = [i for i, b in enumerate(boxes) if not m.contains_box(b)]
     if bad:
         raise ValueError(f"boxes out of map bounds {m.width}x{m.height} "
                          f"at input positions {bad}")
-    return _score_boxes(m, build_integral(m), boxes, cfg)
+    return _score_boxes(m, build_integral(m), boxes, ratios, fractions, policy)
 
 
 def build_pool(scored: list[ScoredProposal], cfg: ScoringConfig,

@@ -4,10 +4,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from types import SimpleNamespace
+
 import numpy as np
 
 import tightbox
 from tightbox.confmap import ConfMap
+from tightbox.evaluation import GtInstance, ablation_sweep
 from tightbox.geometry import Box
 from tightbox.scoring import ScoringConfig
 
@@ -47,3 +50,32 @@ def test_score_batch_builds_its_integral_through_the_module_global(monkeypatch):
     scoring.score_batch(m, [Box(1, 1, 4, 4)], ScoringConfig())
     scoring.score_batch(m, [], ScoringConfig())
     assert len(calls) == 2
+
+
+def test_ablation_sweep_builds_one_integral_per_map(monkeypatch):
+    # a 4x4 grid scores each (scene, class) map once, through the module
+    # global that the traced run wraps, not once per cell
+    scoring = importlib.import_module("tightbox.scoring")
+    calls = []
+    real = scoring.build_integral
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(scoring, "build_integral", counting)
+    rng = np.random.default_rng(3)
+    scenes, scored_maps = [], []
+    for i in range(3):
+        maps = {cid: ConfMap(class_id=cid, values=rng.random((16, 16)))
+                for cid in (1, 2)}
+        classes = (1,) if i == 0 else (1, 2)
+        proposals = [(cid, Box(2 + k, 3, 9 + k, 12)) for cid in classes
+                     for k in range(4)]
+        scored_maps += [maps[cid] for cid in classes]
+        scenes.append(SimpleNamespace(
+            image_id=f"s{i}", maps=maps, proposals=proposals,
+            gt=[GtInstance(class_id=1, box=Box(2, 3, 9, 12))]))
+    result = ablation_sweep(scenes, [1.1, 1.2, 1.3, 1.4], [0.3, 0.5, 0.7, 1.0])
+    assert len(result.cells) == 16
+    assert [id(m) for m in calls] == [id(m) for m in scored_maps]

@@ -68,6 +68,13 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "seed 4" in err and size in err
 
+    def test_late_infeasible_scene_leaves_no_bundle(self, tmp_path, capsys):
+        # seeds 0-17 fit a 52-pixel-wide image, seed 18 does not
+        out = tmp_path / "corpus"
+        assert run(["synth", "--out", out, "--width", "52", "--scenes", "20"]) == 2
+        assert "seed 18" in capsys.readouterr().err
+        assert not out.exists() or not list(out.glob("scene_*"))
+
     def test_linked_failure_mode_produces_touching_instances(self, tmp_path):
         out = tmp_path / "corpus"
         assert run(["synth", "--out", out, "--scenes", "1", "--seed", "3",
@@ -214,8 +221,11 @@ class TestEval:
         (["recall", "--ks", "0"], "0"),
         (["sweep", "--ratios", "nan"], "nan"),
         (["sweep", "--ratios", "1.2,0.5"], "0.5"),
-        (["sweep", "--fracs", "0"], "0")],
-        ids=["ks-0", "ratios-nan", "ratios-0.5", "fracs-0"])
+        (["sweep", "--fracs", "0"], "0"),
+        (["sweep", "--ratios", "1.2,1.2"], "1.2"),
+        (["sweep", "--fracs", "0.5,0.3,0.5000001"], "0.5000001")],
+        ids=["ks-0", "ratios-nan", "ratios-0.5", "fracs-0", "ratios-repeat",
+             "fracs-same-key"])
     def test_bad_list_value_is_usage_error(self, corpus, tmp_path, capsys,
                                            args, value):
         # the scored file does not exist: validation comes before any reading

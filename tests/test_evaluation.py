@@ -2,13 +2,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metric_fixtures import (AP_FIXTURES, CORLOC_FIXTURES, RECALL_FIXTURES,
                              det, gt, pool)
 from tightbox.evaluation import (ApMode, GroundTruth, GtInstance, ablation_sweep,
                                  corloc, recall_at_k, score_corpus, voc_ap)
+from tightbox.confmap import ConfMap
 from tightbox.geometry import Box
-from tightbox.scoring import ScoringConfig
+from tightbox.scoring import (EmptyRingPolicy, ScoringConfig, _score_grid,
+                              score_batch)
 from tightbox.synth import ProposalCounts, gen_proposals, gen_scene, make_trap_spec
 
 
@@ -192,3 +196,92 @@ class TestAblationSweep:
                for s in scenes]
         purity_recall = recall_at_k(pools_pi, gts, [1]).recalls[0]
         assert cell.recall_at_1 > purity_recall
+
+
+def edge_case_corpus(seed):
+    """Three small scenes of two classes for checking the sweep bit for bit.
+
+    Class 1's values are multiples of 1/8, so top-k cutoffs fall on ties.
+    Half of class 2's values lie in [0.5, 1) and half in [1e-9, 1e-3], so
+    float64 sums of a top-k set reaching the small ones depend on the
+    order of their terms (the 1e-9 floor keeps box means clear of the
+    integral's rounding). Every class gets a whole-map box (its ring is empty at any ratio), boxes
+    clipped at the top-left and bottom-right borders, random boxes and a
+    duplicate; class 2 of the first scene has a map and an instance but
+    no proposals.
+    """
+    rng = np.random.default_rng(seed)
+    scenes = []
+    for i in range(3):
+        h, w = (int(v) for v in rng.integers(6, 24, 2))
+        maps = {1: ConfMap(class_id=1, values=rng.integers(0, 9, (h, w)) / 8),
+                2: ConfMap(class_id=2, values=np.where(
+                    rng.random((h, w)) < 0.5, rng.uniform(0.5, 1, (h, w)),
+                    10.0 ** -rng.uniform(3, 9, (h, w))))}
+        proposals, gt = [], []
+        for cid in (1, 2):
+            boxes = [Box(0, 0, w, h), Box(0, 0, w // 2 + 1, h // 2 + 1),
+                     Box(w // 3, h // 3, w, h)]
+            for _ in range(6):
+                x0, y0 = int(rng.integers(0, w - 1)), int(rng.integers(0, h - 1))
+                boxes.append(Box(x0, y0, int(rng.integers(x0 + 1, w + 1)),
+                                 int(rng.integers(y0 + 1, h + 1))))
+            boxes.append(boxes[3])
+            gt.append(GtInstance(class_id=cid, box=boxes[int(rng.integers(0, 10))]))
+            if not (i == 0 and cid == 2):
+                proposals.extend((cid, b) for b in boxes)
+        scenes.append(FakeScene(image_id=f"e{i}", maps=maps, gt=gt,
+                                proposals=proposals))
+    return scenes
+
+
+RATIOS = st.lists(st.sampled_from([1.0, 1.05, 1.2, 1.5, 3.0]),
+                  min_size=1, max_size=4, unique=True)
+FRACTIONS = st.lists(st.sampled_from([0.01, 0.3, 0.7, 0.9, 0.999, 1.0]),
+                     min_size=1, max_size=4, unique=True)
+
+
+class TestSweepExactness:
+    """Every sweep cell equals a production run at its configuration."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ratios=RATIOS, fractions=FRACTIONS)
+    @example(seed=0, ratios=[1.0, 1.2, 3.0], fractions=[1.0, 0.3, 0.9])
+    def test_cells_equal_score_corpus(self, seed, ratios, fractions):
+        scenes = edge_case_corpus(seed)
+        gts = [GroundTruth(image_id=s.image_id, entries=tuple(s.gt))
+               for s in scenes]
+        result = ablation_sweep(scenes, ratios, fractions)
+        assert [(c.ratio, c.fraction) for c in result.cells] == \
+            [(r, f) for r in ratios for f in fractions]
+        for cell in result.cells:
+            cfg = ScoringConfig(enlarge_ratio=cell.ratio, top_fraction=cell.fraction)
+            pools, scored = score_corpus(scenes, cfg)
+            assert cell.recall_at_1 == recall_at_k(pools, gts, [1]).recalls[0]
+            assert cell.mean_objectness == (sum(s.objectness for s in scored)
+                                            / len(scored))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ratios=RATIOS, fractions=FRACTIONS,
+           policy=st.sampled_from(list(EmptyRingPolicy)))
+    @example(seed=0, ratios=[1.0, 1.2, 3.0], fractions=[1.0, 0.3, 0.9],
+             policy=EmptyRingPolicy.SKIP)
+    def test_grid_cells_equal_score_batch(self, seed, ratios, fractions, policy):
+        for scene in edge_case_corpus(seed):
+            for cid, m in scene.maps.items():
+                boxes = [b for c, b in scene.proposals if c == cid]
+                grid = _score_grid(m, boxes, ratios, fractions, policy)
+                for i, r in enumerate(ratios):
+                    for j, f in enumerate(fractions):
+                        expected = score_batch(m, boxes, ScoringConfig(
+                            enlarge_ratio=r, top_fraction=f,
+                            empty_ring_policy=policy))
+                        assert grid[i][j] == expected
+                        assert _score_grid(m, boxes, [r], [f], policy) == [[expected]]
+
+    @pytest.mark.parametrize("ratios,fractions,value", [
+        ([1.2, 1.2], [0.5], "1.2"),
+        ([1.1], [0.5, 0.3, 0.5000001], "0.5000001")])
+    def test_repeated_table_key_is_rejected(self, ratios, fractions, value):
+        with pytest.raises(ValueError, match=f"got {value}"):
+            ablation_sweep(tiny_corpus(1), ratios, fractions)
