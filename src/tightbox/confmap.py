@@ -81,8 +81,10 @@ def build_integral(m: ConfMap) -> IntegralImage:
 
 
 def box_mean(ii: IntegralImage, b: Box) -> float:
-    """Mean confidence over the pixels of ``b``."""
+    """Mean confidence over the pixels of ``b``, clamped to [0, 1]: the
+    4-corner difference of the float64 table can round just outside it
+    on maps of tiny values."""
     if b.x1 > ii.width or b.y1 > ii.height:
         raise ValueError(f"box {b} exceeds map bounds {ii.width}x{ii.height}")
-    return ii.box_sum(b) / b.area
+    return min(max(ii.box_sum(b) / b.area, 0.0), 1.0)
 

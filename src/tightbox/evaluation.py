@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .confmap import build_integral
 from .geometry import Box, iou
-from .scoring import (CandidatePool, EmptyRingPolicy, ScoringConfig,
-                      _score_grid, build_pool,
+from .scoring import (CandidatePool, ScoredProposal, ScoringConfig,
+                      _check_unit_column, _pool_rank, _score_grid, build_pool,
                       purity_only_score, score_batch)
 
 IOU_THRESHOLD = 0.5
@@ -308,10 +308,11 @@ def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> Sweep
     ``scenes`` are as for ``score_corpus``, with a gt of GtInstances. The
     corpus is walked once: each (scene, class) map gets one integral and
     one call of the scoring kernel for the whole grid, which gathers each
-    ring once per ratio. Every cell equals a ``score_corpus`` run at its
-    configuration: the same recall@1 and the same mean objectness, summed
-    in corpus order. Inside the sweep each pool keeps only its first
-    entry, the one recall@1 reads.
+    ring once per ratio and yields plain columns. Every cell equals a
+    ``score_corpus`` run at its configuration: the same recall@1 and the
+    same mean objectness, summed in corpus order. Inside the sweep each
+    pool holds only its first entry, the one recall@1 reads, picked with
+    ``build_pool``'s sort key.
     """
     cfgs = sweep_configs(ratios, fractions)
     grid = [(i, j, cfg) for i, row in enumerate(cfgs) for j, cfg in enumerate(row)]
@@ -321,12 +322,21 @@ def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> Sweep
     for scene in scenes:
         gts.append(GroundTruth(image_id=scene.image_id, entries=tuple(scene.gt)))
         for _, m, boxes in _class_maps(scene):
-            scored = _score_grid(m, boxes, ratios, fractions,
-                                 EmptyRingPolicy.ZERO)
-            for c, (i, j, cfg) in enumerate(grid):
-                pool = build_pool(scored[i][j], cfg, image_id=scene.image_id)
-                pools[c].append(replace(pool, entries=pool.entries[:1]))
-                objectness[c].extend(s.objectness for s in scored[i][j])
+            p_in, rings = _score_grid(m, boxes, ratios, fractions)
+            _check_unit_column("p_inside", p_in)
+            for c, (i, j, _) in enumerate(grid):
+                surround = rings[i][1][j]
+                _check_unit_column("p_surround", surround)
+                obj = [pi - ps for pi, ps in zip(p_in, surround)]
+                objectness[c].extend(obj)
+                keys = list(map(_pool_rank, obj, p_in))
+                t = keys.index(min(keys))
+                top = ScoredProposal(box=boxes[t], class_id=m.class_id,
+                                     p_inside=p_in[t], p_surround=surround[t],
+                                     objectness=obj[t])
+                pools[c].append(CandidatePool(image_id=scene.image_id,
+                                              class_id=m.class_id, entries=(top,)))
+    default = ScoringConfig()
     cells = []
     for c, (_, _, cfg) in enumerate(grid):
         ratio, frac = cfg.enlarge_ratio, cfg.top_fraction
@@ -338,6 +348,7 @@ def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> Sweep
         cells.append(SweepCell(
             ratio=ratio, fraction=frac,
             recall_at_1=curve.recalls[0], mean_objectness=mean_obj,
-            is_default=(ratio == 1.2 and frac == 0.5)))
+            is_default=(ratio == default.enlarge_ratio
+                        and frac == default.top_fraction)))
     return SweepResult(cells=tuple(cells), ratios=tuple(ratios),
                        fractions=tuple(fractions))

@@ -8,10 +8,21 @@ surrounding completeness, so the difference ranks them above boxes stuck
 on discriminative object parts.
 
 Both statistics come from one kernel over a grid of enlarge ratios and
-top fractions: box means from the summed-area table, ring pixels gathered
-into a scratch buffer once per ratio and reduced by an exact top-k mean
-per fraction. ``score`` and ``score_batch`` call it with a 1x1 grid, the
-ablation sweep with its whole grid.
+top fractions: box means from the summed-area table (clamped to [0, 1]),
+ring pixels gathered into a scratch buffer once per ratio and reduced by
+an exact top-k mean per fraction. ``score`` and ``score_batch`` call it
+with a 1x1 grid, the ablation sweep with its whole grid.
+
+Sharing work across fractions changes the order in which a ring's values
+are added, which in general changes the bits of a float sum. It cannot
+when every partial sum is exact: map values are float32 in [0, 1], so
+with e = floor(log2) of the map's smallest positive value they are all
+multiples of 2**(e - 23), and a sum of at most n of them is a multiple of
+that step no larger than n, held exactly by float64 while
+n <= 2**(e + 30). A ring within that limit is sorted once and shares
+one segment sum across the grid's fractions; a larger ring (or any ring
+of a map with a subnormal smallest value) falls back to one partition
+per fraction, the arithmetic a 1x1 grid always uses.
 """
 
 from __future__ import annotations
@@ -165,62 +176,120 @@ def _topk_mean(buf: np.ndarray, n: int, top_fraction: float,
     return float(v[n - k:].sum(dtype=np.float64) / k)
 
 
-def _score_boxes(m: ConfMap, ii: IntegralImage, boxes: list[Box],
-                 ratios: list[float], fractions: list[float],
-                 policy: EmptyRingPolicy) -> list[list[list[ScoredProposal]]]:
-    """The scoring kernel over a (ratio x fraction) grid.
+def _exact_ring_limit(values: np.ndarray) -> float:
+    """Largest ring size whose float64 sums are exact in any order.
 
-    ``grid[i][j]`` holds one ScoredProposal per box, in input order, at
-    ``ratios[i]`` and ``fractions[j]``. Boxes must lie inside the map.
-    Box means come from the integral table once; each ring is gathered
-    once per ratio with the strip gather. Fractions are taken largest
-    first: plain means (k = n) read the gathered ring as it is, the
-    others partition a copy, and the smallest fraction partitions the
-    ring in place, so a 1x1 grid copies nothing. All sums are float64.
+    Map values are float32 in [0, 1], so each is a multiple of
+    2**(e - 23), e = floor(log2(v_min)) of the smallest positive value.
+    A sum of at most n of them is a multiple of that step no larger than
+    n, which float64 holds exactly while n <= 2**53 * 2**(e - 23). A map
+    with no positive value has no limit; a subnormal v_min gives a limit
+    below 1.
+    """
+    v_min = float(np.min(values, initial=np.inf, where=values > 0))
+    if v_min == math.inf:
+        return math.inf
+    return 2.0 ** (math.frexp(v_min)[1] - 1 + 30)
+
+
+def _shared_topk_means(buf: np.ndarray, n: int,
+                       fractions: list[float]) -> list[float]:
+    """Top-k means of buf[:n] at each of ``fractions``, from one sort.
+
+    Only for a ring within ``_exact_ring_limit``: the ring is sorted in
+    place, and one reduceat over the distinct cut points n - k gives
+    segment sums whose suffix totals are the top-k sums. Exactness makes
+    them equal to ``_topk_mean``'s to the bit.
+    """
+    v = buf[:n]
+    v.sort()
+    ks = [top_k_count(n, f) for f in fractions]
+    cuts = sorted({n - k for k in ks})
+    segments = np.add.reduceat(v, cuts, dtype=np.float64).tolist()
+    top = {}
+    total = 0.0
+    for s, part in zip(reversed(cuts), reversed(segments)):
+        total += part
+        top[s] = total
+    return [top[n - k] / k for k in ks]
+
+
+def _score_boxes(m: ConfMap, ii: IntegralImage, boxes: list[Box],
+                 ratios: list[float], fractions: list[float]):
+    """The scoring kernel over a (ratio x fraction) grid, as columns.
+
+    Returns ``(p_inside, rings)``: one box mean per box, in input order,
+    and per ratio a pair ``(sizes, surround)`` where ``sizes`` holds each
+    box's ring pixel count and ``surround[j]`` its surround mean at
+    ``fractions[j]`` (0.0 for an empty ring); no boxes or no fractions
+    give empty columns. Boxes must lie inside the map.
+
+    Box means come from the integral table once, clamped to [0, 1] (its
+    4-corner difference can round just outside on maps of tiny values);
+    each ring is gathered once per ratio with the strip gather.
+
+    When the grid has two or more fractions below 1, the map's
+    ``_exact_ring_limit`` is computed once: every float64 sum over a ring
+    within it is exact, so no summation order can change a bit, and such
+    a ring shares one in-place sort and one segment sum across the
+    fractions (``_shared_topk_means``). Other rings, and every ring of a
+    grid with fewer partitioning fractions, take the plain path: largest
+    fraction first, plain means (k = n) read the gathered ring as it is,
+    the others partition a copy, and the smallest fraction partitions the
+    ring in place, so a 1x1 grid copies nothing.
     """
     if not boxes or not fractions:
-        return [[[] for _ in fractions] for _ in ratios]
+        return [], [([], [[] for _ in fractions]) for _ in ratios]
     coords = np.array([b.as_tuple() for b in boxes], dtype=np.int64)
     x0, y0, x1, y1 = coords.T
     t = ii.table
     # same 4-corner expression and operation order as IntegralImage.box_sum
     p_in = (t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0]) / ((x1 - x0) * (y1 - y0))
-    p_in = p_in.tolist()
+    p_in = np.clip(p_in, 0.0, 1.0).tolist()
 
-    skip_on_empty = policy is EmptyRingPolicy.SKIP
+    values = m.values
     order = sorted(range(len(fractions)), key=fractions.__getitem__, reverse=True)
     copied = [(j, fractions[j]) for j in order[:-1]]
     last, last_frac = order[-1], fractions[order[-1]]
-    values = m.values
-    class_id = m.class_id
+    partitioning = sum(1 for f in fractions if f < 1.0)
+    limit = _exact_ring_limit(values) if partitioning >= 2 else 0
     gather = _gather_ring
     topk = _topk_mean
+    shared = _shared_topk_means
     buf = np.empty(m.width * m.height, dtype=values.dtype)
-    grid = []
+    rings = []
     for ratio in ratios:
         outer = enlarge_coords(x0, y0, x1, y1, ratio, m.width, m.height)
         geo = np.stack([*outer, x0, y0, x1, y1], axis=1).tolist()
-        cells = [[] for _ in fractions]
-        for g, pi, box in zip(geo, p_in, boxes):
+        sizes = []
+        surround = [[] for _ in fractions]
+        for g in geo:
             n = gather(values, buf, g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7])
+            sizes.append(n)
             if n == 0:
-                sp = ScoredProposal(box=box, class_id=class_id, p_inside=pi,
-                                    p_surround=0.0, objectness=pi,
-                                    excluded=skip_on_empty)
-                for cell in cells:
-                    cell.append(sp)
-                continue
-            for j, frac in copied:
-                ps = topk(buf, n, frac, True)
-                cells[j].append(ScoredProposal(box=box, class_id=class_id,
-                                               p_inside=pi, p_surround=ps,
-                                               objectness=pi - ps))
-            ps = topk(buf, n, last_frac)
-            cells[last].append(ScoredProposal(box=box, class_id=class_id,
-                                              p_inside=pi, p_surround=ps,
-                                              objectness=pi - ps))
-        grid.append(cells)
-    return grid
+                for column in surround:
+                    column.append(0.0)
+            elif n <= limit:
+                for column, ps in zip(surround, shared(buf, n, fractions)):
+                    column.append(ps)
+            else:
+                for j, frac in copied:
+                    surround[j].append(topk(buf, n, frac, True))
+                surround[last].append(topk(buf, n, last_frac))
+        rings.append((sizes, surround))
+    return p_in, rings
+
+
+def _proposals(class_id: int, boxes: list[Box], p_in: list[float],
+               sizes: list[int], surround: list[float],
+               policy: EmptyRingPolicy) -> list[ScoredProposal]:
+    """One kernel cell as ScoredProposals; an empty ring is excluded
+    under the SKIP policy."""
+    skip_on_empty = policy is EmptyRingPolicy.SKIP
+    return [ScoredProposal(box=b, class_id=class_id, p_inside=pi,
+                           p_surround=ps, objectness=pi - ps,
+                           excluded=skip_on_empty and n == 0)
+            for b, pi, n, ps in zip(boxes, p_in, sizes, surround)]
 
 
 def score(m: ConfMap, ii: IntegralImage, b: Box,
@@ -232,8 +301,10 @@ def score(m: ConfMap, ii: IntegralImage, b: Box,
     """
     if not m.contains_box(b):
         raise ValueError(f"box {b} exceeds map bounds {m.width}x{m.height}")
-    return _score_boxes(m, ii, [b], [cfg.enlarge_ratio], [cfg.top_fraction],
-                        cfg.empty_ring_policy)[0][0][0]
+    p_in, [(sizes, [surround])] = _score_boxes(
+        m, ii, [b], [cfg.enlarge_ratio], [cfg.top_fraction])
+    return _proposals(m.class_id, [b], p_in, sizes, surround,
+                      cfg.empty_ring_policy)[0]
 
 
 def score_batch(m: ConfMap, boxes: list[Box],
@@ -244,13 +315,14 @@ def score_batch(m: ConfMap, boxes: list[Box],
     box, so the batch either completes for all boxes or fails before
     scoring any.
     """
-    return _score_grid(m, boxes, [cfg.enlarge_ratio], [cfg.top_fraction],
-                       cfg.empty_ring_policy)[0][0]
+    p_in, [(sizes, [surround])] = _score_grid(
+        m, boxes, [cfg.enlarge_ratio], [cfg.top_fraction])
+    return _proposals(m.class_id, boxes, p_in, sizes, surround,
+                      cfg.empty_ring_policy)
 
 
 def _score_grid(m: ConfMap, boxes: list[Box], ratios: list[float],
-                fractions: list[float],
-                policy: EmptyRingPolicy) -> list[list[list[ScoredProposal]]]:
+                fractions: list[float]):
     """Bounds check, the map's integral, then the kernel over the grid.
 
     The integral is built through this module's ``build_integral`` name,
@@ -260,7 +332,21 @@ def _score_grid(m: ConfMap, boxes: list[Box], ratios: list[float],
     if bad:
         raise ValueError(f"boxes out of map bounds {m.width}x{m.height} "
                          f"at input positions {bad}")
-    return _score_boxes(m, build_integral(m), boxes, ratios, fractions, policy)
+    return _score_boxes(m, build_integral(m), boxes, ratios, fractions)
+
+
+def _pool_rank(objectness: float, p_inside: float) -> tuple[float, float]:
+    """Sort key of candidate pools: objectness descending, then p_inside
+    descending; a stable sort keeps input order among equal keys."""
+    return (-objectness, -p_inside)
+
+
+def _check_unit_column(name: str, column) -> None:
+    """Raise the ValueError ScoredProposal would for the first value of
+    ``column`` outside [0, 1]."""
+    for v in column:
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} out of [0, 1]: {v}")
 
 
 def build_pool(scored: list[ScoredProposal], cfg: ScoringConfig,
@@ -270,7 +356,7 @@ def build_pool(scored: list[ScoredProposal], cfg: ScoringConfig,
     class_ids = {s.class_id for s in kept}
     if len(class_ids) > 1:
         raise ValueError(f"pool entries span multiple classes: {sorted(class_ids)}")
-    ranked = sorted(kept, key=lambda s: (-s.objectness, -s.p_inside))
+    ranked = sorted(kept, key=lambda s: _pool_rank(s.objectness, s.p_inside))
     class_id = kept[0].class_id if kept else -1
     return CandidatePool(image_id=image_id, class_id=class_id,
                          entries=tuple(ranked[:cfg.pool_size]))

@@ -11,9 +11,10 @@ from tightbox.evaluation import (ApMode, GroundTruth, GtInstance, ablation_sweep
                                  corloc, recall_at_k, score_corpus, voc_ap)
 from tightbox.confmap import ConfMap
 from tightbox.geometry import Box
-from tightbox.scoring import (EmptyRingPolicy, ScoringConfig, _score_grid,
-                              score_batch)
-from tightbox.synth import ProposalCounts, gen_proposals, gen_scene, make_trap_spec
+from tightbox.scoring import (EmptyRingPolicy, ScoringConfig, _proposals,
+                              _score_grid, score_batch)
+from tightbox.synth import (ProposalCounts, gen_proposals, gen_scene,
+                            make_trap_spec, oracle_score)
 
 
 @pytest.mark.parametrize("name,pools,gts,ks,expected,upper",
@@ -187,6 +188,21 @@ class TestAblationSweep:
         report = result.report()
         assert "1.2" in report and "*" in report
 
+    def test_tiny_value_map_scores_like_the_oracle(self):
+        # the 4-corner mean of box (3, 5, 4, 6) rounds below 0 on this map
+        rng = np.random.default_rng(1)
+        m = ConfMap(class_id=1, values=10 ** -rng.uniform(0, 38, (12, 12)))
+        boxes = [Box(3, 5, 4, 6), Box(0, 0, 12, 12), Box(2, 4, 6, 8)]
+        scene = FakeScene(image_id="t", maps={1: m},
+                          gt=[GtInstance(class_id=1, box=boxes[0])],
+                          proposals=[(1, b) for b in boxes])
+        result = ablation_sweep([scene], [1.2, 2.0], [0.3, 0.5, 1.0])
+        for cell in result.cells:
+            cfg = ScoringConfig(enlarge_ratio=cell.ratio, top_fraction=cell.fraction)
+            want = [oracle_score(m, b, cfg).objectness for b in boxes]
+            assert cell.mean_objectness == pytest.approx(sum(want) / len(want),
+                                                         abs=1e-6)
+
     def test_default_cell_beats_purity_on_trap_corpus(self):
         scenes = tiny_corpus(6)
         result = ablation_sweep(scenes, [1.2], [0.5])
@@ -235,6 +251,12 @@ def edge_case_corpus(seed):
     return scenes
 
 
+def grid_cell(m, boxes, p_in, rings, i, j, policy):
+    """Cell (i, j) of a ``_score_grid`` result as ScoredProposals."""
+    sizes, surround = rings[i]
+    return _proposals(m.class_id, boxes, p_in, sizes, surround[j], policy)
+
+
 RATIOS = st.lists(st.sampled_from([1.0, 1.05, 1.2, 1.5, 3.0]),
                   min_size=1, max_size=4, unique=True)
 FRACTIONS = st.lists(st.sampled_from([0.01, 0.3, 0.7, 0.9, 0.999, 1.0]),
@@ -270,14 +292,16 @@ class TestSweepExactness:
         for scene in edge_case_corpus(seed):
             for cid, m in scene.maps.items():
                 boxes = [b for c, b in scene.proposals if c == cid]
-                grid = _score_grid(m, boxes, ratios, fractions, policy)
+                p_in, rings = _score_grid(m, boxes, ratios, fractions)
                 for i, r in enumerate(ratios):
                     for j, f in enumerate(fractions):
                         expected = score_batch(m, boxes, ScoringConfig(
                             enlarge_ratio=r, top_fraction=f,
                             empty_ring_policy=policy))
-                        assert grid[i][j] == expected
-                        assert _score_grid(m, boxes, [r], [f], policy) == [[expected]]
+                        assert grid_cell(m, boxes, p_in, rings, i, j,
+                                         policy) == expected
+                        one = _score_grid(m, boxes, [r], [f])
+                        assert grid_cell(m, boxes, *one, 0, 0, policy) == expected
 
     @pytest.mark.parametrize("ratios,fractions,value", [
         ([1.2, 1.2], [0.5], "1.2"),

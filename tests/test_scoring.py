@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tightbox.confmap import ConfMap, box_mean, build_integral
 from tightbox.errors import EmptyRegionError
 from tightbox.geometry import Box, ring
 from tightbox.scoring import (EmptyRingPolicy, ScoredProposal,
-                              ScoringConfig, build_pool, conditional_average,
+                              ScoringConfig, _exact_ring_limit, _proposals,
+                              _score_grid, build_pool, conditional_average,
                               purity_only_score, score, score_batch,
                               top_k_count)
+from tightbox.synth import oracle_score
 
 
 def sort_and_average(values, frac):
@@ -330,3 +334,171 @@ class TestPurity:
         naive = float(m.values[4:12, 3:10].astype(np.float64).mean())
         assert box_mean(ii, b) == pytest.approx(naive, abs=1e-9)
         assert score(m, ii, b, ScoringConfig()).p_inside == box_mean(ii, b)
+
+
+def tiny_value_map():
+    """Values spanning 38 decades: at box (3, 5, 4, 6), a pixel of 4.4e-28,
+    the 4-corner difference of the float64 table is -6.9e-18."""
+    rng = np.random.default_rng(1)
+    return ConfMap(class_id=1, values=10 ** -rng.uniform(0, 38, (12, 12))), \
+        Box(3, 5, 4, 6)
+
+
+class TestTinyValueMap:
+    """Box means are clamped to [0, 1], so valid maps always score."""
+
+    def assert_matches_oracle(self, got, m, b, cfg):
+        want = oracle_score(m, b, cfg)
+        assert 0.0 <= got.p_inside <= 1.0
+        assert got.p_inside == pytest.approx(want.p_inside, abs=1e-6)
+        assert got.p_surround == pytest.approx(want.p_surround, abs=1e-6)
+        assert got.objectness == pytest.approx(want.objectness, abs=1e-6)
+
+    def test_score(self):
+        m, b = tiny_value_map()
+        cfg = ScoringConfig()
+        self.assert_matches_oracle(score(m, build_integral(m), b, cfg), m, b, cfg)
+
+    def test_score_batch(self):
+        m, b = tiny_value_map()
+        cfg = ScoringConfig()
+        boxes = [Box(0, 0, 12, 12), b, Box(2, 4, 6, 8)]
+        for got, box in zip(score_batch(m, boxes, cfg), boxes):
+            self.assert_matches_oracle(got, m, box, cfg)
+
+    def test_purity_only_score(self):
+        m, b = tiny_value_map()
+        got = purity_only_score(build_integral(m), b)
+        assert got.p_inside == pytest.approx(
+            oracle_score(m, b, ScoringConfig()).p_inside, abs=1e-6)
+        assert got.objectness == got.p_inside
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def map_with_smallest(v_min):
+    return np.array([[0.0, v_min], [1.0, v_min]], dtype=np.float32)
+
+
+class TestExactRingLimit:
+    """2**(e + 30) ring pixels, e = floor(log2) of the smallest positive value."""
+
+    @pytest.mark.parametrize("v_min,limit", [
+        (1.0, 2.0 ** 30),
+        (0.5, 2.0 ** 29),
+        (2.0 ** -12, 2.0 ** 18),
+        (0.3, 2.0 ** 28),
+        (float(np.finfo(np.float32).tiny), 2.0 ** -96),
+    ])
+    def test_limit_follows_the_smallest_positive_value(self, v_min, limit):
+        assert _exact_ring_limit(map_with_smallest(v_min)) == limit
+
+    def test_subnormal_value_leaves_no_ring_exact(self):
+        sub = float(np.float32(2.0 ** -140))
+        assert 0.0 < sub < np.finfo(np.float32).tiny
+        assert _exact_ring_limit(map_with_smallest(sub)) < 1
+
+    def test_all_zero_map_has_no_limit(self):
+        assert _exact_ring_limit(np.zeros((4, 4), dtype=np.float32)) == math.inf
+
+
+def small_map_and_boxes(seed, values):
+    """A map of ``values(rng, shape)`` with a whole-map box, boxes clipped at
+    the top-left and bottom-right borders, random boxes and a duplicate."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(4, 20, 2))
+    m = ConfMap(class_id=3, values=values(rng, (h, w)))
+    boxes = [Box(0, 0, w, h), Box(0, 0, w // 2 + 1, h // 2 + 1),
+             Box(w // 3, h // 3, w, h)]
+    boxes += [random_box(rng, w, h) for _ in range(5)]
+    boxes.append(boxes[3])
+    return m, boxes
+
+
+def certified_values(rng, shape):
+    """Multiples of 1/8, or values >= 2**-10: every ring is exact."""
+    if rng.random() < 0.5:
+        return rng.integers(0, 9, shape) / 8
+    return np.where(rng.random(shape) < 0.2, 0.0,
+                    rng.uniform(2.0 ** -10, 1.0, shape))
+
+
+def fallback_values(rng, shape):
+    """Half in [0.5, 1), half around 1e-9: float64 sums reaching the small
+    ones depend on the order of their terms, so rings must fall back."""
+    small = 1e-9 * rng.uniform(0.5, 2.0, shape)
+    return np.where(rng.random(shape) < 0.5, rng.uniform(0.5, 1.0, shape), small)
+
+
+# 1.5 or 3.0 in every grid, so some rings are not empty
+GRID_RATIOS = st.lists(st.sampled_from([1.0, 1.05, 1.2, 1.5, 3.0]),
+                       min_size=1, max_size=3, unique=True).filter(
+                           lambda rs: max(rs) >= 1.5)
+# 0.25/0.26 and 0.5/0.51 share a cut point on small rings, 0.999 keeps
+# every pixel of a ring under 1,000 pixels
+PARTITIONING = st.lists(st.sampled_from([0.01, 0.25, 0.26, 0.5, 0.51, 0.9, 0.999]),
+                        min_size=2, max_size=3, unique=True)
+
+
+class TestExactGrid:
+    """Grid cells on the shared path equal 1x1 score_batch runs to the bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), certified=st.booleans(),
+           ratios=GRID_RATIOS, fractions=PARTITIONING, with_one=st.booleans(),
+           policy=st.sampled_from(list(EmptyRingPolicy)))
+    @example(seed=0, certified=True, ratios=[1.2, 3.0],
+             fractions=[0.5, 0.51, 0.25], with_one=True,
+             policy=EmptyRingPolicy.SKIP)
+    @example(seed=0, certified=False, ratios=[1.2, 3.0],
+             fractions=[0.5, 0.51, 0.25], with_one=True,
+             policy=EmptyRingPolicy.ZERO)
+    def test_cells_equal_score_batch(self, seed, certified, ratios, fractions,
+                                     with_one, policy):
+        fractions = fractions + [1.0] if with_one else fractions
+        m, boxes = small_map_and_boxes(
+            seed, certified_values if certified else fallback_values)
+        limit = _exact_ring_limit(m.values)
+        p_in, rings = _score_grid(m, boxes, ratios, fractions)
+        sizes = [n for ring_sizes, _ in rings for n in ring_sizes]
+        if certified:
+            assert max(sizes) <= limit
+        else:
+            assert limit < 2 and max(sizes) > limit
+        for i, r in enumerate(ratios):
+            ring_sizes, surround = rings[i]
+            for j, f in enumerate(fractions):
+                expected = score_batch(m, boxes, ScoringConfig(
+                    enlarge_ratio=r, top_fraction=f, empty_ring_policy=policy))
+                got = _proposals(m.class_id, boxes, p_in, ring_sizes,
+                                 surround[j], policy)
+                assert got == expected
+                assert bits(surround[j]) == bits([s.p_surround for s in expected])
+                assert bits(p_in) == bits([s.p_inside for s in expected])
+
+
+class TestGridOracle:
+    """Every grid cell is within 1e-6 of the naive oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ratios=st.lists(st.floats(1.0, 3.0), min_size=1, max_size=3, unique=True),
+           fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                              min_size=1, max_size=3, unique=True))
+    @example(seed=1, ratios=[1.0, 3.0], fractions=[1.0, 0.5, 1e-9])
+    def test_cells_match_oracle(self, seed, ratios, fractions):
+        m, boxes = small_map_and_boxes(seed, lambda rng, shape: rng.random(shape))
+        p_in, rings = _score_grid(m, boxes, ratios, fractions)
+        for i, r in enumerate(ratios):
+            ring_sizes, surround = rings[i]
+            for j, f in enumerate(fractions):
+                cfg = ScoringConfig(enlarge_ratio=r, top_fraction=f)
+                cell = _proposals(m.class_id, boxes, p_in, ring_sizes,
+                                  surround[j], cfg.empty_ring_policy)
+                for got, b in zip(cell, boxes):
+                    want = oracle_score(m, b, cfg)
+                    assert got.p_inside == pytest.approx(want.p_inside, abs=1e-6)
+                    assert got.p_surround == pytest.approx(want.p_surround, abs=1e-6)
+                    assert got.objectness == pytest.approx(want.objectness, abs=1e-6)
