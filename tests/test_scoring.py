@@ -426,9 +426,10 @@ def certified_values(rng, shape):
 
 
 def fallback_values(rng, shape):
-    """Half in [0.5, 1), half around 1e-9: float64 sums reaching the small
-    ones depend on the order of their terms, so rings must fall back."""
-    small = 1e-9 * rng.uniform(0.5, 2.0, shape)
+    """Half in [0.5, 1), half in [5e-10, 1.5e-9), below 2**-29 so the limit
+    is at most 1: float64 sums reaching the small ones depend on the order
+    of their terms, so rings must fall back."""
+    small = 1e-9 * rng.uniform(0.5, 1.5, shape)
     return np.where(rng.random(shape) < 0.5, rng.uniform(0.5, 1.0, shape), small)
 
 
