@@ -14,9 +14,7 @@ class ConfMap:
     """One class's per-pixel segmentation confidence, values in [0, 1].
 
     ``values`` is a read-only float32 array of shape (height, width),
-    row-major: values[y, x] is the confidence of pixel (x, y). A -0.0
-    is stored as +0.0, so the bit patterns of the values, read as int32,
-    order like the values (the scoring kernel selects on them).
+    row-major: values[y, x] is the confidence of pixel (x, y).
     """
 
     class_id: int
@@ -33,7 +31,7 @@ class ConfMap:
         lo, hi = float(arr.min()), float(arr.max())
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"confidence values outside [0, 1]: min={lo}, max={hi}")
-        arr = arr + np.float32(0.0)  # a copy, -0.0 folded to +0.0
+        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -76,12 +74,8 @@ class IntegralImage:
 def build_integral(m: ConfMap) -> IntegralImage:
     """One-pass construction; sums are carried in float64."""
     table = np.zeros((m.height + 1, m.width + 1), dtype=np.float64)
-    body = table[1:, 1:]
-    # widen first: an in-place float64 cumsum adds the same terms in the
-    # same order as a casting one, without its buffered cast
-    body[...] = m.values
-    np.cumsum(body, axis=0, out=body)
-    np.cumsum(body, axis=1, out=body)
+    np.cumsum(m.values, axis=0, dtype=np.float64, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
     table.flags.writeable = False
     return IntegralImage(class_id=m.class_id, table=table)
 

@@ -9,8 +9,8 @@ on discriminative object parts.
 
 Both statistics come from one kernel over a grid of enlarge ratios and
 top fractions: box means from the summed-area table (clamped to [0, 1]),
-ring pixels gathered into a new array once per ratio and reduced by an
-exact top-k mean per fraction. ``score`` and ``score_batch`` call it
+ring pixels gathered into a scratch buffer once per ratio and reduced by
+an exact top-k mean per fraction. ``score`` and ``score_batch`` call it
 with a 1x1 grid, the ablation sweep with its whole grid.
 
 Sharing work across fractions changes the order in which a ring's values
@@ -120,45 +120,59 @@ def conditional_average(values, top_fraction: float) -> float:
     """
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction}")
-    v = np.sort(np.asarray(values, dtype=np.float64), axis=None)
-    if v.size == 0:
+    # a float64 copy, since _topk_mean partitions its buffer in place
+    buf = np.array(values, dtype=np.float64).reshape(-1)
+    if buf.size == 0:
         raise EmptyRegionError("conditional average of an empty region")
-    k = top_k_count(v.size, top_fraction)
-    return float(v[v.size - k:].sum() / k)
+    return _topk_mean(buf, buf.size, top_fraction)
 
 
-def _gather_ring(values: np.ndarray, ox0: int, oy0: int, ox1: int, oy1: int,
-                 bx0: int, by0: int, bx1: int, by1: int) -> np.ndarray:
-    """Ring pixels as a new flat array: the top, bottom, left and right
-    strips in that order, each row-major.
+def _gather_ring(values: np.ndarray, buf: np.ndarray,
+                 ox0: int, oy0: int, ox1: int, oy1: int,
+                 bx0: int, by0: int, bx1: int, by1: int) -> int:
+    """Copy ring pixels into ``buf`` as four strips; returns the pixel count.
 
-    The order is fixed, so float sums taken over the array are
-    reproducible; one concatenate does the whole copy because this sits
-    on the hot path of every scoring call.
+    Strip order (top, bottom, left, right) is fixed, so the buffer and the
+    float sums taken over it are reproducible; the loop is unrolled
+    because this sits on the hot path of every scoring call.
     """
-    return np.concatenate((values[oy0:by0, ox0:ox1], values[by1:oy1, ox0:ox1],
-                           values[by0:by1, ox0:bx0], values[by0:by1, bx1:ox1]),
-                          axis=None)
+    n = 0
+    h = by0 - oy0
+    if h > 0:
+        cnt = h * (ox1 - ox0)
+        buf[:cnt].reshape(h, ox1 - ox0)[...] = values[oy0:by0, ox0:ox1]
+        n = cnt
+    h = oy1 - by1
+    if h > 0:
+        cnt = h * (ox1 - ox0)
+        buf[n:n + cnt].reshape(h, ox1 - ox0)[...] = values[by1:oy1, ox0:ox1]
+        n += cnt
+    w = bx0 - ox0
+    if w > 0:
+        cnt = (by1 - by0) * w
+        if cnt > 0:
+            buf[n:n + cnt].reshape(by1 - by0, w)[...] = values[by0:by1, ox0:bx0]
+            n += cnt
+    w = ox1 - bx1
+    if w > 0:
+        cnt = (by1 - by0) * w
+        if cnt > 0:
+            buf[n:n + cnt].reshape(by1 - by0, w)[...] = values[by0:by1, bx1:ox1]
+            n += cnt
+    return n
 
 
-def _topk_mean(v: np.ndarray, top_fraction: float, copy: bool = False) -> float:
-    """Mean of the k largest of the ring values ``v`` (flat float32);
-    partitions it in place unless ``copy`` is set, in which case a copy
-    is partitioned.
-
-    The partition runs on the int32 view: map values are non-negative
-    with -0.0 folded to +0.0 (see ConfMap), so their bit patterns order
-    like the values and the top k are the same values, and numpy's
-    partition is about twice as fast on int32 as on float32 (numpy 2.4,
-    x86-64, rings of a few thousand pixels).
-    """
-    n = v.size
+def _topk_mean(buf: np.ndarray, n: int, top_fraction: float,
+               copy: bool = False) -> float:
+    """Mean of the k largest of buf[:n]; partitions the buffer in place
+    unless ``copy`` is set, in which case a copy of it is partitioned."""
     k = top_k_count(n, top_fraction)
+    v = buf[:n]
     if k >= n:
         return float(v.sum(dtype=np.float64) / n)
     if copy:
         v = v.copy()
-    v.view(np.int32).partition(n - k)
+    v.partition(n - k)
     return float(v[n - k:].sum(dtype=np.float64) / k)
 
 
@@ -178,16 +192,16 @@ def _exact_ring_limit(values: np.ndarray) -> float:
     return 2.0 ** (math.frexp(v_min)[1] - 1 + 30)
 
 
-def _shared_topk_means(v: np.ndarray, fractions: list[float]) -> list[float]:
-    """Top-k means of the flat array ``v`` at each of ``fractions``, from
-    one sort.
+def _shared_topk_means(buf: np.ndarray, n: int,
+                       fractions: list[float]) -> list[float]:
+    """Top-k means of buf[:n] at each of ``fractions``, from one sort.
 
     Only for a ring within ``_exact_ring_limit``: the ring is sorted in
     place, and one reduceat over the distinct cut points n - k gives
     segment sums whose suffix totals are the top-k sums. Exactness makes
     them equal to ``_topk_mean``'s to the bit.
     """
-    n = v.size
+    v = buf[:n]
     v.sort()
     ks = [top_k_count(n, f) for f in fractions]
     cuts = sorted({n - k for k in ks})
@@ -212,7 +226,7 @@ def _score_boxes(m: ConfMap, ii: IntegralImage, boxes: list[Box],
 
     Box means come from the integral table once, clamped to [0, 1] (its
     4-corner difference can round just outside on maps of tiny values);
-    each ring is gathered once per ratio into a new array.
+    each ring is gathered once per ratio with the strip gather.
 
     When the grid has two or more fractions below 1, the map's
     ``_exact_ring_limit`` is computed once: every float64 sum over a ring
@@ -242,6 +256,7 @@ def _score_boxes(m: ConfMap, ii: IntegralImage, boxes: list[Box],
     gather = _gather_ring
     topk = _topk_mean
     shared = _shared_topk_means
+    buf = np.empty(m.width * m.height, dtype=values.dtype)
     rings = []
     for ratio in ratios:
         outer = enlarge_coords(x0, y0, x1, y1, ratio, m.width, m.height)
@@ -249,19 +264,18 @@ def _score_boxes(m: ConfMap, ii: IntegralImage, boxes: list[Box],
         sizes = []
         surround = [[] for _ in fractions]
         for g in geo:
-            v = gather(values, *g)
-            n = v.size
+            n = gather(values, buf, g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7])
             sizes.append(n)
             if n == 0:
                 for column in surround:
                     column.append(0.0)
             elif n <= limit:
-                for column, ps in zip(surround, shared(v, fractions)):
+                for column, ps in zip(surround, shared(buf, n, fractions)):
                     column.append(ps)
             else:
                 for j, frac in copied:
-                    surround[j].append(topk(v, frac, True))
-                surround[last].append(topk(v, last_frac))
+                    surround[j].append(topk(buf, n, frac, True))
+                surround[last].append(topk(buf, n, last_frac))
         rings.append((sizes, surround))
     return p_in, rings
 
@@ -272,9 +286,9 @@ def _proposals(class_id: int, boxes: list[Box], p_in: list[float],
     """One kernel cell as ScoredProposals; an empty ring is excluded
     under the SKIP policy."""
     skip_on_empty = policy is EmptyRingPolicy.SKIP
-    # positional fields (box, class_id, p_inside, p_surround, objectness,
-    # excluded): a third faster than keywords on this per-box path
-    return [ScoredProposal(b, class_id, pi, ps, pi - ps, skip_on_empty and n == 0)
+    return [ScoredProposal(box=b, class_id=class_id, p_inside=pi,
+                           p_surround=ps, objectness=pi - ps,
+                           excluded=skip_on_empty and n == 0)
             for b, pi, n, ps in zip(boxes, p_in, sizes, surround)]
 
 
@@ -314,8 +328,7 @@ def _score_grid(m: ConfMap, boxes: list[Box], ratios: list[float],
     The integral is built through this module's ``build_integral`` name,
     once per call whatever the grid's size.
     """
-    w, h = m.width, m.height
-    bad = [i for i, b in enumerate(boxes) if b.x1 > w or b.y1 > h]
+    bad = [i for i, b in enumerate(boxes) if not m.contains_box(b)]
     if bad:
         raise ValueError(f"boxes out of map bounds {m.width}x{m.height} "
                          f"at input positions {bad}")

@@ -10,8 +10,7 @@ from tightbox.errors import EmptyRegionError
 from tightbox.geometry import Box, ring
 from tightbox.scoring import (EmptyRingPolicy, ScoredProposal,
                               ScoringConfig, _exact_ring_limit, _proposals,
-                              _score_grid, _topk_mean, build_pool,
-                              conditional_average,
+                              _score_grid, build_pool, conditional_average,
                               purity_only_score, score, score_batch,
                               top_k_count)
 from tightbox.synth import oracle_score
@@ -113,45 +112,6 @@ class TestConditionalAverage:
         assert top_k_count(10, 0.3) == 3
         assert top_k_count(1, 0.01) == 1
         assert top_k_count(7, 1.0) == 7
-
-
-# ring-like value families: plain, tied (exact 0 and 1 included), tiny
-# (subnormal float32 and underflow to 0) and signed zeros
-TOPK_FAMILIES = {
-    "uniform": lambda rng, n: rng.random(n),
-    "eighths": lambda rng, n: rng.integers(0, 9, n) / 8,
-    "tiny": lambda rng, n: 10.0 ** -rng.uniform(0, 46, n),
-    "signed_zeros": lambda rng, n: np.where(rng.random(n) < 0.5, -0.0,
-                                            rng.random(n) * (rng.random(n) < 0.3)),
-}
-
-
-class TestTopkMean:
-    """The kernel's top-k mean selects on the int32 view of map values."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000),
-           family=st.sampled_from(sorted(TOPK_FAMILIES)),
-           fraction=st.floats(0.0, 1.0, exclude_min=True))
-    @example(seed=0, n=2, family="signed_zeros", fraction=0.5)
-    def test_partition_keeps_exactly_the_top_k_values(self, seed, n, family,
-                                                      fraction):
-        rng = np.random.default_rng(seed)
-        values = ConfMap(class_id=1, values=TOPK_FAMILIES[family](rng, n)[None, :]
-                         ).values.ravel()
-        k = top_k_count(n, fraction)
-        top = np.sort(values)[n - k:]
-        want = float(top.sum(dtype=np.float64) / k)
-
-        v = values.copy()
-        assert _topk_mean(v, fraction, copy=True) == pytest.approx(want, rel=1e-12, abs=0)
-        assert np.array_equal(v.view(np.int32), values.view(np.int32))
-
-        got = _topk_mean(v, fraction)
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
-        assert math.copysign(1.0, got) == 1.0
-        if k < n:  # partitioned in place: the tail holds the top k, bit for bit
-            assert np.array_equal(np.sort(v[n - k:]).view(np.int32), top.view(np.int32))
 
 
 class TestSurroundingCompleteness:
