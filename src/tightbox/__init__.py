@@ -10,7 +10,7 @@ ranking behavior is testable without any trained model.
 
 __version__ = "0.1.0"
 
-from .confmap import ConfMap, IntegralImage, box_mean, build_integral
+from .confmap import ConfMap, IntegralImage, build_integral
 from .errors import (BundleValidationError, EmptyRegionError,
                      MalformedFileError, ParseError, TightboxError)
 from .evaluation import (ApMode, ApResult, CorLocResult, GroundTruth,
@@ -21,7 +21,7 @@ from .pseudomask import (BACKGROUND, IGNORE, MaskConfig, PseudoMask,
                          generate_mask, mask_stats, normalize_cam)
 from .scoring import (CandidatePool, EmptyRingPolicy, ScoredProposal,
                       ScoringConfig, build_pool, conditional_average,
-                      purity_only_score, score, score_batch)
+                      score, score_batch)
 from .synth import (ProposalCounts, ProposalFamily, SceneObject, SceneSpec,
                     TrapParams, gen_proposals, gen_scene, make_linked_spec,
                     make_trap_spec, oracle_score)
@@ -33,10 +33,10 @@ __all__ = [
     "MalformedFileError", "MaskConfig", "ParseError",
     "ProposalCounts", "ProposalFamily", "PseudoMask", "RecallCurve",
     "RingRegion", "SceneObject", "SceneSpec", "ScoredProposal", "ScoringConfig",
-    "SweepResult", "TightboxError", "TrapParams", "ablation_sweep", "box_mean",
+    "SweepResult", "TightboxError", "TrapParams", "ablation_sweep",
     "build_integral", "build_pool", "conditional_average", "corloc", "enlarge",
     "gen_proposals", "gen_scene", "generate_mask", "iou", "make_linked_spec",
     "make_trap_spec", "mask_stats", "normalize_cam", "oracle_score",
-    "purity_only_score", "recall_at_k", "ring", "score", "score_batch",
+    "recall_at_k", "ring", "score", "score_batch",
     "voc_ap",
 ]

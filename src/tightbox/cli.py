@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -97,13 +98,15 @@ def _int_list(text: str) -> list[int]:
 
 def cmd_score(args) -> int:
     cfg = _scoring_config(args)
+    if args.baseline == "purity":
+        cfg = dataclasses.replace(cfg, enlarge_ratio=1.0,
+                                  empty_ring_policy=EmptyRingPolicy.ZERO)
     bundles = read_corpus(args.corpus)
     records = []
     for bundle in bundles:
         if bundle.proposals is None:
             raise TightboxError(f"{bundle.path}: no proposals.csv to score")
-        pools, _ = score_corpus(
-            [bundle], cfg, baseline_purity=(args.baseline == "purity"))
+        pools, _ = score_corpus([bundle], cfg)
         for pool in sorted(pools, key=lambda p: (p.image_id, p.class_id)):
             for s in pool.entries:
                 records.append(ScoredRecord(
@@ -170,16 +173,28 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-def _load_gts(bundles) -> list[GroundTruth]:
-    return [GroundTruth(image_id=b.image_id, entries=tuple(b.gt)) for b in bundles]
+def _eval_inputs(args) -> tuple[list[ScoredRecord], list[GroundTruth]]:
+    """The scored rows and the corpus's ground truth. Each row must name an
+    image of the corpus and a class with a map in its bundle: rows of
+    another corpus would all score as misses."""
+    bundles = read_corpus(args.corpus)
+    rows = read_scored(args.scored)
+    maps = {b.image_id: b.maps for b in bundles}
+    for row_idx, r in enumerate(rows, start=2):
+        if r.class_id not in maps.get(r.image_id, ()):
+            raise TightboxError(f"{args.scored} row {row_idx}: no bundle of the "
+                                f"corpus has image {r.image_id!r} with a map "
+                                f"of class {r.class_id}")
+    return rows, [GroundTruth(image_id=b.image_id, entries=tuple(b.gt))
+                  for b in bundles]
 
 
-def _load_pools(scored_path) -> list[CandidatePool]:
+def _pools(rows: list[ScoredRecord]) -> list[CandidatePool]:
     grouped: dict[tuple[str, int], list[ScoredRecord]] = {}
-    for r in read_scored(scored_path):
+    for r in rows:
         grouped.setdefault((r.image_id, r.class_id), []).append(r)
-    return [CandidatePool(image_id=img, class_id=cid, entries=tuple(rows))
-            for (img, cid), rows in grouped.items()]
+    return [CandidatePool(image_id=img, class_id=cid, entries=tuple(entries))
+            for (img, cid), entries in grouped.items()]
 
 
 def _emit_result(args, name: str, payload: dict, inputs: list) -> None:
@@ -198,8 +213,8 @@ def cmd_eval_recall(args) -> int:
     ks = _int_list(args.ks)
     if min(ks) < 1:
         raise UsageError(f"--ks values must be >= 1, got {min(ks)}")
-    bundles = read_corpus(args.corpus)
-    curve = recall_at_k(_load_pools(args.scored), _load_gts(bundles), ks)
+    rows, gts = _eval_inputs(args)
+    curve = recall_at_k(_pools(rows), gts, ks)
     payload = {
         "ks": list(curve.ks),
         "recall": dict(zip(map(str, curve.ks), curve.recalls)),
@@ -211,8 +226,8 @@ def cmd_eval_recall(args) -> int:
 
 
 def cmd_eval_corloc(args) -> int:
-    bundles = read_corpus(args.corpus)
-    result = corloc(_load_pools(args.scored), _load_gts(bundles))
+    rows, gts = _eval_inputs(args)
+    result = corloc(_pools(rows), gts)
     payload = {
         "per_class": {str(c): v for c, v in result.per_class.items()},
         "mean": result.mean,
@@ -222,9 +237,9 @@ def cmd_eval_corloc(args) -> int:
 
 
 def cmd_eval_map(args) -> int:
-    bundles = read_corpus(args.corpus)
+    rows, gts = _eval_inputs(args)
     mode = ApMode.ELEVEN_POINT if args.mode == "11pt" else ApMode.AREA
-    result = voc_ap(read_scored(args.scored), _load_gts(bundles), mode)
+    result = voc_ap(rows, gts, mode)
     payload = {
         "per_class_ap": {str(c): v for c, v in result.per_class.items()},
         "mAP": result.mean_ap,
@@ -334,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate pool size per image and class (default 200)")
     p.add_argument("--baseline", choices=["objectness", "purity"],
                    default="objectness",
-                   help="'purity' ranks by inside confidence only")
+                   help="'purity' ranks by inside confidence only: it scores "
+                        "at ratio 1, where the ring is empty")
     p.add_argument("--empty-ring", choices=["zero", "skip"], default="zero")
     p.set_defaults(func=cmd_score)
 

@@ -58,18 +58,6 @@ class IntegralImage:
     class_id: int
     table: np.ndarray = field(repr=False)
 
-    @property
-    def width(self) -> int:
-        return self.table.shape[1] - 1
-
-    @property
-    def height(self) -> int:
-        return self.table.shape[0] - 1
-
-    def box_sum(self, b: Box) -> float:
-        t = self.table
-        return float(t[b.y1, b.x1] - t[b.y0, b.x1] - t[b.y1, b.x0] + t[b.y0, b.x0])
-
 
 def build_integral(m: ConfMap) -> IntegralImage:
     """One-pass construction; sums are carried in float64."""
@@ -78,13 +66,3 @@ def build_integral(m: ConfMap) -> IntegralImage:
     np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
     table.flags.writeable = False
     return IntegralImage(class_id=m.class_id, table=table)
-
-
-def box_mean(ii: IntegralImage, b: Box) -> float:
-    """Mean confidence over the pixels of ``b``, clamped to [0, 1]: the
-    4-corner difference of the float64 table can round just outside it
-    on maps of tiny values."""
-    if b.x1 > ii.width or b.y1 > ii.height:
-        raise ValueError(f"box {b} exceeds map bounds {ii.width}x{ii.height}")
-    return min(max(ii.box_sum(b) / b.area, 0.0), 1.0)
-

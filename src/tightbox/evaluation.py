@@ -11,11 +11,9 @@ import enum
 from array import array
 from dataclasses import dataclass
 
-from .confmap import build_integral
 from .geometry import Box, iou
 from .scoring import (CandidatePool, ScoredProposal, ScoringConfig,
-                      _check_unit_column, _pool_rank, _score_grid, build_pool,
-                      purity_only_score, score_batch)
+                      _pool_rank, _score_grid, build_pool, score_batch)
 
 IOU_THRESHOLD = 0.5
 
@@ -259,23 +257,21 @@ def _class_maps(scene):
         yield cid, scene.maps[cid], by_class[cid]
 
 
-def score_corpus(scenes, cfg: ScoringConfig,
-                 baseline_purity: bool = False) -> tuple[list[CandidatePool], list]:
-    """Score every scene's proposals per class and build candidate pools.
+def score_corpus(scenes, cfg: ScoringConfig) -> tuple[list[CandidatePool], list]:
+    """Score every scene's proposals per class with ``score_batch`` and
+    build candidate pools.
 
     ``scenes`` is an iterable with image_id, maps (class_id -> ConfMap)
     and proposals [(class_id, Box, ...)] attributes, e.g. loaded scene
-    bundles. Returns (pools, all scored proposals).
+    bundles. Returns (pools, all scored proposals). The inside-only
+    baseline is ``cfg`` at enlarge ratio 1 under the ZERO empty-ring
+    policy: every ring is empty, so objectness is the box mean.
     """
     pools = []
     all_scored = []
     for scene in scenes:
         for cid, m, boxes in _class_maps(scene):
-            if baseline_purity:
-                ii = build_integral(m)
-                scored = [purity_only_score(ii, b) for b in boxes]
-            else:
-                scored = score_batch(m, boxes, cfg)
+            scored = score_batch(m, boxes, cfg)
             pools.append(build_pool(scored, cfg, image_id=scene.image_id))
             all_scored.extend(scored)
     return pools, all_scored
@@ -323,10 +319,8 @@ def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> Sweep
         gts.append(GroundTruth(image_id=scene.image_id, entries=tuple(scene.gt)))
         for _, m, boxes in _class_maps(scene):
             p_in, rings = _score_grid(m, boxes, ratios, fractions)
-            _check_unit_column("p_inside", p_in)
             for c, (i, j, _) in enumerate(grid):
                 surround = rings[i][1][j]
-                _check_unit_column("p_surround", surround)
                 obj = [pi - ps for pi, ps in zip(p_in, surround)]
                 objectness[c].extend(obj)
                 keys = list(map(_pool_rank, obj, p_in))

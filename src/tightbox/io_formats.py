@@ -387,14 +387,31 @@ def read_bundle(directory) -> SceneBundle:
         meta = json.loads(spec_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise BundleValidationError(directory, [f"spec.json unreadable: {exc}"])
+    if not isinstance(meta, dict):
+        raise BundleValidationError(directory, [
+            f"spec.json: top level must be an object, got {type(meta).__name__}"])
     if meta.get("format_version") != FORMAT_VERSION:
         failures.append(f"spec.json: unsupported format_version "
                         f"{meta.get('format_version')!r}")
     image_id = meta.get("image_id", directory.name)
+    if not isinstance(image_id, str):
+        failures.append(f"spec.json: image_id must be a string, got {image_id!r}")
     width, height = meta.get("width"), meta.get("height")
+    bad_dims = [f"spec.json: {name} must be a positive integer, got {v!r}"
+                for name, v in (("width", width), ("height", height))
+                if type(v) is not int or v < 1]
+    if bad_dims:
+        failures += bad_dims
+        width = height = None
+    map_files = meta.get("map_files", {})
+    if not (isinstance(map_files, dict) and all(
+            k.isdecimal() and isinstance(f, str) for k, f in map_files.items())):
+        failures.append(f"spec.json: map_files must map class ids to file "
+                        f"names, got {map_files!r}")
+        map_files = {}
 
     maps: dict[int, ConfMap] = {}
-    for cid_str, fname in sorted(meta.get("map_files", {}).items()):
+    for cid_str, fname in sorted(map_files.items()):
         fpath = directory / fname
         if not fpath.is_file():
             failures.append(f"missing map file {fname}")
@@ -406,7 +423,7 @@ def read_bundle(directory) -> SceneBundle:
             continue
         if m.class_id != int(cid_str):
             failures.append(f"{fname}: header class {m.class_id} != spec {cid_str}")
-        elif (m.width, m.height) != (width, height):
+        elif width and (m.width, m.height) != (width, height):
             failures.append(f"{fname}: dimensions {m.width}x{m.height} "
                             f"!= spec {width}x{height}")
         else:
@@ -439,13 +456,12 @@ def read_bundle(directory) -> SceneBundle:
                 failures.append(f"proposals.csv row {row_idx}: box "
                                 f"{r.box.as_tuple()} exceeds image {width}x{height}")
 
-    known = KNOWN_BUNDLE_FILES | set(meta.get("map_files", {}).values())
+    if failures:
+        raise BundleValidationError(directory, failures)
+    known = KNOWN_BUNDLE_FILES | set(map_files.values())
     for child in sorted(directory.iterdir()):
         if child.name not in known:
             warnings.append(f"unknown file ignored: {child.name}")
-
-    if failures:
-        raise BundleValidationError(directory, failures)
     return SceneBundle(
         path=str(directory), image_id=image_id, meta=meta, maps=maps,
         gt=tuple(GtInstance(r.class_id, r.box, r.ignore) for r in gt_records),

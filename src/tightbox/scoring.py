@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .confmap import ConfMap, IntegralImage, box_mean, build_integral
+from .confmap import ConfMap, IntegralImage, build_integral
 from .errors import EmptyRegionError
 from .geometry import Box, check_ratio, enlarge_coords
 
@@ -42,7 +42,9 @@ class EmptyRingPolicy(enum.Enum):
     """What to do when the enlarged box clips to the box itself.
 
     ZERO scores the surround as 0.0 (the box keeps its purity as the full
-    score); SKIP marks the proposal excluded from candidate pools.
+    score); SKIP marks the proposal excluded from candidate pools. At
+    enlarge ratio 1 every ring is empty, so ZERO scoring is the inside-only
+    baseline.
     """
 
     ZERO = "zero"
@@ -243,7 +245,6 @@ def _score_boxes(m: ConfMap, ii: IntegralImage, boxes: list[Box],
     coords = np.array([b.as_tuple() for b in boxes], dtype=np.int64)
     x0, y0, x1, y1 = coords.T
     t = ii.table
-    # same 4-corner expression and operation order as IntegralImage.box_sum
     p_in = (t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0]) / ((x1 - x0) * (y1 - y0))
     p_in = np.clip(p_in, 0.0, 1.0).tolist()
 
@@ -341,14 +342,6 @@ def _pool_rank(objectness: float, p_inside: float) -> tuple[float, float]:
     return (-objectness, -p_inside)
 
 
-def _check_unit_column(name: str, column) -> None:
-    """Raise the ValueError ScoredProposal would for the first value of
-    ``column`` outside [0, 1]."""
-    for v in column:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} out of [0, 1]: {v}")
-
-
 def build_pool(scored: list[ScoredProposal], cfg: ScoringConfig,
                image_id: str = "") -> CandidatePool:
     """Keep the top pool_size proposals by objectness, deterministic ties."""
@@ -360,10 +353,3 @@ def build_pool(scored: list[ScoredProposal], cfg: ScoringConfig,
     class_id = kept[0].class_id if kept else -1
     return CandidatePool(image_id=image_id, class_id=class_id,
                          entries=tuple(ranked[:cfg.pool_size]))
-
-
-def purity_only_score(ii: IntegralImage, b: Box) -> ScoredProposal:
-    """Baseline ranking that looks only inside the box (no surround term)."""
-    p_in = box_mean(ii, b)
-    return ScoredProposal(box=b, class_id=ii.class_id, p_inside=p_in,
-                          p_surround=0.0, objectness=p_in)

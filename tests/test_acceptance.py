@@ -18,8 +18,7 @@ from tightbox.confmap import ConfMap, build_integral
 from tightbox.evaluation import corloc, recall_at_k, voc_ap
 from tightbox.geometry import Box, iou
 from tightbox.pseudomask import MaskConfig, generate_mask
-from tightbox.scoring import (ScoringConfig, build_pool, purity_only_score,
-                              score, score_batch)
+from tightbox.scoring import ScoringConfig, build_pool, score, score_batch
 from tightbox.synth import (ProposalCounts, TrapParams, gen_proposals,
                             gen_scene, make_trap_spec, oracle_score)
 
@@ -71,6 +70,7 @@ def test_criterion_2_part_trap_separation():
     tight box; inside-only ranking is fooled by a part box in >= 90%."""
     start = time.perf_counter()
     cfg = ScoringConfig()
+    cfg_purity = ScoringConfig(enlarge_ratio=1.0)
     n = 200
     tight_wins = 0
     purity_fooled = 0
@@ -85,9 +85,10 @@ def test_criterion_2_part_trap_separation():
         scored = score_batch(m, [obj.gt_box] + partials, cfg)
         if scored[0].objectness > max(s.objectness for s in scored[1:]):
             tight_wins += 1
-        ii = build_integral(m)
-        gt_purity = purity_only_score(ii, obj.gt_box).objectness
-        if max(purity_only_score(ii, b).objectness for b in partials) > gt_purity:
+        # the inside-only baseline: at ratio 1 every ring is empty
+        purity = [s.objectness for s in score_batch(m, [obj.gt_box] + partials,
+                                                    cfg_purity)]
+        if max(purity[1:]) > purity[0]:
             purity_fooled += 1
     elapsed = time.perf_counter() - start
     ok = tight_wins == n and purity_fooled >= 0.9 * n and elapsed < 30.0
@@ -105,6 +106,7 @@ def _trap_corpus_hits():
     counts = ProposalCounts(tight=10, partial=10, loose=5, background=10)
     cfg_half = ScoringConfig(top_fraction=0.5)
     cfg_full = ScoringConfig(top_fraction=1.0)
+    cfg_purity = ScoringConfig(enlarge_ratio=1.0)
     hits = {"half": [], "full": [], "purity": []}
     for i in range(n):
         spec = make_trap_spec(seed0 + i, params)
@@ -113,11 +115,10 @@ def _trap_corpus_hits():
         m = maps[obj.class_id]
         fam = gen_proposals(spec, counts, seed=seed0 + i)
         boxes = [b for _, cid, b in fam.all_entries()]
-        ii = build_integral(m)
         ranked = {
             "half": score_batch(m, boxes, cfg_half),
             "full": score_batch(m, boxes, cfg_full),
-            "purity": [purity_only_score(ii, b) for b in boxes],
+            "purity": score_batch(m, boxes, cfg_purity),
         }
         for key, scored in ranked.items():
             top = build_pool(scored, cfg_half).entries[0].box

@@ -154,11 +154,20 @@ class TestScore:
         assert f"got {ratio}" in capsys.readouterr().err
 
     def test_purity_baseline(self, corpus, tmp_path):
-        out = tmp_path / "scored.csv"
-        assert run(["score", corpus, "--out", out, "--baseline", "purity"]) == 0
-        for r in read_scored(out):
-            assert r.p_surround == 0.0
-            assert r.objectness == r.p_inside
+        # the baseline is ratio-1 scoring under the zero empty-ring policy,
+        # whatever --empty-ring says
+        for extra, pool in (([], []), (["--empty-ring", "skip"], []),
+                            (["--pool", "5"], ["--pool", "5"])):
+            out = tmp_path / "scored.csv"
+            assert run(["score", corpus, "--out", out, "--baseline", "purity",
+                        *extra]) == 0
+            for r in read_scored(out):
+                assert r.p_surround == 0.0
+                assert r.objectness == r.p_inside
+            ratio_one = tmp_path / "ratio1.csv"
+            assert run(["score", corpus, "--out", ratio_one, "--ratio", "1",
+                        "--empty-ring", "zero", *pool]) == 0
+            assert out.read_bytes() == ratio_one.read_bytes()
 
     def test_manifest_checksums_cover_output(self, corpus, tmp_path):
         out = tmp_path / "scored.csv"
@@ -169,6 +178,14 @@ class TestScore:
         assert manifest["config"]["ratio"] == 1.2
         assert str(out) in manifest["outputs"]
         assert manifest["outputs"][str(out)].startswith("sha256:")
+
+    def test_malformed_spec_json_is_a_data_error(self, corpus, capsys):
+        spec = corpus / "scene_0001" / "spec.json"
+        spec.write_text(json.dumps({**json.loads(spec.read_text()),
+                                    "width": "a"}))
+        assert run(["score", corpus, "--out", corpus / "s.csv"]) == 2
+        assert "spec.json: width must be a positive integer, got 'a'" \
+            in capsys.readouterr().err
 
     def test_corpus_without_proposals_is_a_data_error(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -216,6 +233,26 @@ class TestEval:
         payload = json.loads(out.read_text())
         assert payload["mAP"] == pytest.approx(0.5, abs=1e-9)
         assert payload["mode"] == "11pt"
+
+    @pytest.mark.parametrize("command", ["recall", "corloc", "map"])
+    @pytest.mark.parametrize("row,problem", [
+        ("other_scene,1,2,2,9,9,0.5,0.1,0.4",
+         "row 3: no bundle of the corpus has image 'other_scene' with a map "
+         "of class 1"),
+        ("scene_0001,9,2,2,9,9,0.5,0.1,0.4",
+         "row 3: no bundle of the corpus has image 'scene_0001' with a map "
+         "of class 9")],
+        ids=["unknown-image", "class-without-map"])
+    def test_scored_rows_from_another_corpus_are_a_data_error(
+            self, corpus, tmp_path, capsys, command, row, problem):
+        scored = self.scored_for(corpus, tmp_path)
+        lines = scored.read_text().splitlines()
+        scored.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
+        out = tmp_path / "metric.json"
+        assert run(["eval", command, "--corpus", corpus, "--scored", scored,
+                    "--out", out]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args,value", [
         (["recall", "--ks", "0"], "0"),

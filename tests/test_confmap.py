@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tightbox.confmap import ConfMap, box_mean, build_integral
+from tightbox.confmap import ConfMap, build_integral
 from tightbox.geometry import Box, ring
-from tightbox.scoring import _gather_ring
+from tightbox.scoring import ScoringConfig, _gather_ring, score
 
 
 def naive_box_sum(values, b):
@@ -14,6 +14,17 @@ def naive_box_sum(values, b):
         for x in range(b.x0, b.x1):
             total += float(values[y, x])
     return total
+
+
+def table_box_sum(ii, b):
+    """The 4-corner query of the summed-area table."""
+    t = ii.table
+    return float(t[b.y1, b.x1] - t[b.y0, b.x1] - t[b.y1, b.x0] + t[b.y0, b.x0])
+
+
+def box_mean(m, b):
+    """The box mean as the scorer reports it: p_inside at ratio 1."""
+    return score(m, build_integral(m), b, ScoringConfig(enlarge_ratio=1.0)).p_inside
 
 
 def gather(m, r):
@@ -59,13 +70,13 @@ class TestIntegralImage:
     def test_all_ones_full_sum(self):
         m = ConfMap(class_id=0, values=np.ones((2, 2)))
         ii = build_integral(m)
-        assert ii.box_sum(Box(0, 0, 2, 2)) == 4.0
+        assert table_box_sum(ii, Box(0, 0, 2, 2)) == 4.0
 
     def test_single_pixel_query(self):
         m = ConfMap(class_id=0, values=np.array([[0.5, 0.0], [0.0, 0.5]]))
         ii = build_integral(m)
-        assert ii.box_sum(Box(0, 0, 1, 1)) == 0.5
-        assert ii.box_sum(Box(1, 1, 2, 2)) == 0.5
+        assert table_box_sum(ii, Box(0, 0, 1, 1)) == 0.5
+        assert table_box_sum(ii, Box(1, 1, 2, 2)) == 0.5
 
     def test_table_monotone_along_rows_and_columns(self):
         rng = np.random.default_rng(21)
@@ -82,40 +93,37 @@ class TestIntegralImage:
             x0 = int(rng.integers(0, 63)); y0 = int(rng.integers(0, 63))
             x1 = int(rng.integers(x0 + 1, 65)); y1 = int(rng.integers(y0 + 1, 65))
             b = Box(x0, y0, x1, y1)
-            assert ii.box_sum(b) == pytest.approx(naive_box_sum(m.values, b), abs=1e-9)
+            assert table_box_sum(ii, b) == pytest.approx(naive_box_sum(m.values, b), abs=1e-9)
 
 
 class TestBoxMean:
     def test_uniform_map(self):
         m = ConfMap(class_id=0, values=np.full((8, 8), 0.5))
-        ii = build_integral(m)
-        assert box_mean(ii, Box(1, 2, 5, 7)) == pytest.approx(0.5)
+        assert box_mean(m, Box(1, 2, 5, 7)) == pytest.approx(0.5)
 
     def test_saturated_region(self):
         values = np.zeros((8, 8))
         values[2:6, 2:6] = 1.0
-        ii = build_integral(ConfMap(class_id=0, values=values))
-        assert box_mean(ii, Box(2, 2, 6, 6)) == 1.0
+        assert box_mean(ConfMap(class_id=0, values=values), Box(2, 2, 6, 6)) == 1.0
 
     def test_pixel_index_map(self):
         values = np.arange(16, dtype=np.float64).reshape(4, 4) / 16
-        ii = build_integral(ConfMap(class_id=0, values=values))
+        m = ConfMap(class_id=0, values=values)
         # pixels (1,1),(2,1),(1,2),(2,2) -> indices 5,6,9,10; mean 30/64
-        assert box_mean(ii, Box(1, 1, 3, 3)) == pytest.approx(0.46875)
+        assert box_mean(m, Box(1, 1, 3, 3)) == pytest.approx(0.46875)
 
     def test_in_unit_interval_for_random_boxes(self):
         rng = np.random.default_rng(23)
         m = ConfMap(class_id=0, values=rng.random((32, 32)))
-        ii = build_integral(m)
         for _ in range(300):
             x0 = int(rng.integers(0, 31)); y0 = int(rng.integers(0, 31))
             b = Box(x0, y0, int(rng.integers(x0 + 1, 33)), int(rng.integers(y0 + 1, 33)))
-            assert 0.0 <= box_mean(ii, b) <= 1.0
+            assert 0.0 <= box_mean(m, b) <= 1.0
 
     def test_rejects_out_of_bounds(self):
-        ii = build_integral(ConfMap(class_id=0, values=np.zeros((4, 4))))
+        m = ConfMap(class_id=0, values=np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            box_mean(ii, Box(0, 0, 5, 4))
+            box_mean(m, Box(0, 0, 5, 4))
 
 
 class TestRingValues:

@@ -207,7 +207,7 @@ class TestAblationSweep:
         scenes = tiny_corpus(6)
         result = ablation_sweep(scenes, [1.2], [0.5])
         cell = result.cells[0]
-        pools_pi, _ = score_corpus(scenes, ScoringConfig(), baseline_purity=True)
+        pools_pi, _ = score_corpus(scenes, ScoringConfig(enlarge_ratio=1.0))
         gts = [GroundTruth(image_id=s.image_id, entries=tuple(s.gt))
                for s in scenes]
         purity_recall = recall_at_k(pools_pi, gts, [1]).recalls[0]

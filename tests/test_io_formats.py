@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -276,6 +277,25 @@ class TestBundles:
             read_bundle(path)
         text = "\n".join(exc.value.failures)
         assert "class_001.tscf" in text and "gt.csv" in text
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda meta: [], "top level"),
+        (lambda meta: {**meta, "map_files": ["a"]}, "map_files"),
+        (lambda meta: {**meta, "map_files": {"1": 5}}, "map_files"),
+        (lambda meta: {**meta, "map_files": {"one": "class_001.tscf"}},
+         "map_files"),
+        (lambda meta: {**meta, "width": "a"}, "width"),
+        (lambda meta: {**meta, "height": None}, "height"),
+        (lambda meta: {**meta, "image_id": 7}, "image_id")],
+        ids=["top-level-list", "map-files-list", "map-file-int",
+             "class-id-word", "width-string", "height-null", "image-id-int"])
+    def test_malformed_spec_field_named_in_failure(self, tmp_path, edit, field):
+        path = self.make_bundle(tmp_path)
+        spec = path / "spec.json"
+        spec.write_text(json.dumps(edit(json.loads(spec.read_text()))))
+        with pytest.raises(BundleValidationError) as exc:
+            read_bundle(path)
+        assert any(f.startswith(f"spec.json: {field}") for f in exc.value.failures)
 
     def test_missing_spec_json_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tightbox.confmap import ConfMap, box_mean, build_integral
+from tightbox.confmap import ConfMap, build_integral
 from tightbox.errors import EmptyRegionError
 from tightbox.geometry import Box, ring
 from tightbox.scoring import (EmptyRingPolicy, ScoredProposal,
                               ScoringConfig, _exact_ring_limit, _proposals,
                               _score_grid, build_pool, conditional_average,
-                              purity_only_score, score, score_batch,
-                              top_k_count)
+                              score, score_batch, top_k_count)
 from tightbox.synth import oracle_score
 
 
@@ -301,39 +300,45 @@ class TestBuildPool:
             build_pool([a, b], ScoringConfig())
 
 
+PURITY = ScoringConfig(enlarge_ratio=1.0)
+
+
 class TestPurityOnly:
+    """The inside-only baseline: scoring at ratio 1, where every ring is empty."""
+
     def test_perfect_tight_box(self):
         values = np.zeros((20, 20))
         values[5:15, 5:15] = 1.0
-        ii = build_integral(ConfMap(class_id=1, values=values))
-        s = purity_only_score(ii, Box(5, 5, 15, 15))
+        m = ConfMap(class_id=1, values=values)
+        s = score(m, build_integral(m), Box(5, 5, 15, 15), PURITY)
         assert s.objectness == 1.0
         assert s.p_surround == 0.0
 
     def test_part_box_outranks_tight_box(self):
         m, gt, part = part_trap_map()
-        ii = build_integral(m)
-        assert purity_only_score(ii, part).objectness > \
-            purity_only_score(ii, gt).objectness
+        s_gt, s_part = score_batch(m, [gt, part], PURITY)
+        assert s_part.objectness > s_gt.objectness
 
     def test_uniform_map_gives_no_discrimination(self):
         m = ConfMap(class_id=1, values=np.full((16, 16), 0.4))
-        ii = build_integral(m)
         rng = np.random.default_rng(40)
-        scores = {purity_only_score(ii, random_box(rng, 16, 16)).objectness
-                  for _ in range(50)}
+        scores = {s.objectness for s in score_batch(
+            m, [random_box(rng, 16, 16) for _ in range(50)], PURITY)}
         assert all(v == pytest.approx(0.4, abs=1e-6) for v in scores)
 
 
 class TestPurity:
     def test_delegates_to_box_mean(self):
+        # p_inside is the box mean at any ratio; at ratio 1 it is the score
         rng = np.random.default_rng(41)
         m = ConfMap(class_id=1, values=rng.random((16, 16)))
         ii = build_integral(m)
         b = Box(3, 4, 10, 12)
         naive = float(m.values[4:12, 3:10].astype(np.float64).mean())
-        assert box_mean(ii, b) == pytest.approx(naive, abs=1e-9)
-        assert score(m, ii, b, ScoringConfig()).p_inside == box_mean(ii, b)
+        inside_only = score(m, ii, b, PURITY)
+        assert inside_only.p_inside == pytest.approx(naive, abs=1e-9)
+        assert inside_only.objectness == inside_only.p_inside
+        assert score(m, ii, b, ScoringConfig()).p_inside == inside_only.p_inside
 
 
 def tiny_value_map():
@@ -368,7 +373,7 @@ class TestTinyValueMap:
 
     def test_purity_only_score(self):
         m, b = tiny_value_map()
-        got = purity_only_score(build_integral(m), b)
+        got = score_batch(m, [b], PURITY)[0]
         assert got.p_inside == pytest.approx(
             oracle_score(m, b, ScoringConfig()).p_inside, abs=1e-6)
         assert got.objectness == got.p_inside
@@ -503,3 +508,44 @@ class TestGridOracle:
                     assert got.p_inside == pytest.approx(want.p_inside, abs=1e-6)
                     assert got.p_surround == pytest.approx(want.p_surround, abs=1e-6)
                     assert got.objectness == pytest.approx(want.objectness, abs=1e-6)
+
+
+def unit_edge_values(rng, shape, exponent):
+    """Zeros, runs of exact 1.0 (a block and whole rows) and values down to
+    2**-exponent, plus one pixel of 1e-38 (a subnormal) when exponent > 30."""
+    h, w = shape
+    values = np.where(rng.random(shape) < 0.3, 0.0,
+                      2.0 ** -rng.uniform(0, exponent, shape))
+    y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+    values[y0:y0 + int(rng.integers(1, h + 1)), x0:x0 + int(rng.integers(1, w + 1))] = 1.0
+    values[rng.random(h) < 0.3] = 1.0
+    if exponent > 30:
+        values[int(rng.integers(0, h)), int(rng.integers(0, w))] = 1e-38
+    return values
+
+
+class TestKernelRange:
+    """Every box mean and ring mean the kernel returns lies in [0, 1]."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), certified=st.booleans(),
+           ratios=GRID_RATIOS, fractions=PARTITIONING, with_one=st.booleans())
+    def test_columns_lie_in_unit_interval(self, seed, certified, ratios,
+                                          fractions, with_one):
+        fractions = fractions + [1.0] if with_one else fractions
+        # rings of a map under 20x20 stay within the limit 2**10 that
+        # values >= 2**-20 give; a 1e-38 pixel leaves no ring exact
+        exponent = 20 if certified else 126
+        m, boxes = small_map_and_boxes(
+            seed, lambda rng, shape: unit_edge_values(rng, shape, exponent))
+        limit = _exact_ring_limit(m.values)
+        p_in, rings = _score_grid(m, boxes, ratios, fractions)
+        sizes = [n for ring_sizes, _ in rings for n in ring_sizes]
+        if certified:
+            assert max(sizes) <= limit
+        else:
+            assert limit < 1 < max(sizes)
+        assert all(0.0 <= v <= 1.0 for v in p_in)
+        for _, surround in rings:
+            for column in surround:
+                assert all(0.0 <= v <= 1.0 for v in column)
