@@ -10,7 +10,7 @@ ranking behavior is testable without any trained model.
 
 __version__ = "0.1.0"
 
-from .confmap import ConfMap, IntegralImage, build_integral
+from .confmap import ConfMap, build_integral
 from .errors import (BundleValidationError, EmptyRegionError,
                      MalformedFileError, ParseError, TightboxError)
 from .evaluation import (ApMode, ApResult, CorLocResult, GroundTruth,
@@ -21,7 +21,7 @@ from .pseudomask import (BACKGROUND, IGNORE, MaskConfig, PseudoMask,
                          generate_mask, mask_stats, normalize_cam)
 from .scoring import (CandidatePool, EmptyRingPolicy, ScoredProposal,
                       ScoringConfig, build_pool, conditional_average,
-                      score, score_batch)
+                      score_batch)
 from .synth import (ProposalCounts, ProposalFamily, SceneObject, SceneSpec,
                     TrapParams, gen_proposals, gen_scene, make_linked_spec,
                     make_trap_spec, oracle_score)
@@ -29,7 +29,7 @@ from .synth import (ProposalCounts, ProposalFamily, SceneObject, SceneSpec,
 __all__ = [
     "ApMode", "ApResult", "BACKGROUND", "Box", "BundleValidationError",
     "CandidatePool", "ConfMap", "CorLocResult", "EmptyRegionError",
-    "EmptyRingPolicy", "GroundTruth", "GtInstance", "IGNORE", "IntegralImage",
+    "EmptyRingPolicy", "GroundTruth", "GtInstance", "IGNORE",
     "MalformedFileError", "MaskConfig", "ParseError",
     "ProposalCounts", "ProposalFamily", "PseudoMask", "RecallCurve",
     "RingRegion", "SceneObject", "SceneSpec", "ScoredProposal", "ScoringConfig",
@@ -37,6 +37,5 @@ __all__ = [
     "build_integral", "build_pool", "conditional_average", "corloc", "enlarge",
     "gen_proposals", "gen_scene", "generate_mask", "iou", "make_linked_spec",
     "make_trap_spec", "mask_stats", "normalize_cam", "oracle_score",
-    "recall_at_k", "ring", "score", "score_batch",
-    "voc_ap",
+    "recall_at_k", "ring", "score_batch", "voc_ap",
 ]

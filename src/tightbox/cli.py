@@ -106,8 +106,9 @@ def cmd_score(args) -> int:
     for bundle in bundles:
         if bundle.proposals is None:
             raise TightboxError(f"{bundle.path}: no proposals.csv to score")
+        # one bundle's pools come in ascending class-id order
         pools, _ = score_corpus([bundle], cfg)
-        for pool in sorted(pools, key=lambda p: (p.image_id, p.class_id)):
+        for pool in pools:
             for s in pool.entries:
                 records.append(ScoredRecord(
                     image_id=pool.image_id, class_id=pool.class_id, box=s.box,
@@ -175,16 +176,22 @@ def cmd_synth(args) -> int:
 
 def _eval_inputs(args) -> tuple[list[ScoredRecord], list[GroundTruth]]:
     """The scored rows and the corpus's ground truth. Each row must name an
-    image of the corpus and a class with a map in its bundle: rows of
-    another corpus would all score as misses."""
+    image of the corpus and a class with a map in its bundle, and its box
+    must lie inside that image: rows of another corpus would all score as
+    misses."""
     bundles = read_corpus(args.corpus)
     rows = read_scored(args.scored)
     maps = {b.image_id: b.maps for b in bundles}
     for row_idx, r in enumerate(rows, start=2):
-        if r.class_id not in maps.get(r.image_id, ()):
+        m = maps.get(r.image_id, {}).get(r.class_id)
+        if m is None:
             raise TightboxError(f"{args.scored} row {row_idx}: no bundle of the "
                                 f"corpus has image {r.image_id!r} with a map "
                                 f"of class {r.class_id}")
+        if not m.contains_box(r.box):
+            raise TightboxError(f"{args.scored} row {row_idx}: box "
+                                f"{r.box.as_tuple()} exceeds image "
+                                f"{r.image_id!r} of {m.width}x{m.height}")
     return rows, [GroundTruth(image_id=b.image_id, entries=tuple(b.gt))
                   for b in bundles]
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,22 +47,15 @@ class ConfMap:
         return b.x1 <= self.width and b.y1 <= self.height
 
 
-@dataclass(frozen=True)
-class IntegralImage:
+def build_integral(m: ConfMap) -> np.ndarray:
     """Summed-area table over a ConfMap, accumulated in double precision.
 
-    ``table`` has shape (height+1, width+1); table[j, i] is the sum of all
-    map values with y < j and x < i, so any box sum is a 4-corner query.
+    The read-only float64 table has shape (height+1, width+1);
+    table[j, i] is the sum of all map values with y < j and x < i, so any
+    box sum is a 4-corner query.
     """
-
-    class_id: int
-    table: np.ndarray = field(repr=False)
-
-
-def build_integral(m: ConfMap) -> IntegralImage:
-    """One-pass construction; sums are carried in float64."""
     table = np.zeros((m.height + 1, m.width + 1), dtype=np.float64)
     np.cumsum(m.values, axis=0, dtype=np.float64, out=table[1:, 1:])
     np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
     table.flags.writeable = False
-    return IntegralImage(class_id=m.class_id, table=table)
+    return table

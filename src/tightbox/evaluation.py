@@ -12,8 +12,9 @@ from array import array
 from dataclasses import dataclass
 
 from .geometry import Box, iou
-from .scoring import (CandidatePool, ScoredProposal, ScoringConfig,
-                      _pool_rank, _score_grid, build_pool, score_batch)
+from .scoring import (CandidatePool, EmptyRingPolicy, ScoringConfig,
+                      _pool_rank, _proposals, _score_boxes, build_pool,
+                      score_batch)
 
 IOU_THRESHOLD = 0.5
 
@@ -318,16 +319,15 @@ def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> Sweep
     for scene in scenes:
         gts.append(GroundTruth(image_id=scene.image_id, entries=tuple(scene.gt)))
         for _, m, boxes in _class_maps(scene):
-            p_in, rings = _score_grid(m, boxes, ratios, fractions)
+            p_in, rings = _score_boxes(m, boxes, ratios, fractions)
             for c, (i, j, _) in enumerate(grid):
-                surround = rings[i][1][j]
+                sizes, surround = rings[i][0], rings[i][1][j]
                 obj = [pi - ps for pi, ps in zip(p_in, surround)]
                 objectness[c].extend(obj)
                 keys = list(map(_pool_rank, obj, p_in))
                 t = keys.index(min(keys))
-                top = ScoredProposal(box=boxes[t], class_id=m.class_id,
-                                     p_inside=p_in[t], p_surround=surround[t],
-                                     objectness=obj[t])
+                [top] = _proposals(m.class_id, [boxes[t]], [p_in[t]], [sizes[t]],
+                                   [surround[t]], EmptyRingPolicy.ZERO)
                 pools[c].append(CandidatePool(image_id=scene.image_id,
                                               class_id=m.class_id, entries=(top,)))
     default = ScoringConfig()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -285,12 +286,20 @@ def write_ground_truth(records: list[GtRecord], path) -> None:
 
 
 def read_scored(path) -> list[ScoredRecord]:
+    """Scored-proposal CSV; p_inside and p_surround must lie in [0, 1] and
+    objectness must be finite."""
     def parse(header, raw):
         if len(raw) != 9:
             raise ValueError(f"expected 9 fields, got {len(raw)}")
+        p_inside, p_surround, objectness = (float(v) for v in raw[6:9])
+        for name, v in (("p_inside", p_inside), ("p_surround", p_surround)):
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        if not math.isfinite(objectness):
+            raise ValueError(f"objectness must be finite, got {objectness}")
         return ScoredRecord(image_id=raw[0], class_id=int(raw[1]),
-                            box=_parse_box(raw[2:6]), p_inside=float(raw[6]),
-                            p_surround=float(raw[7]), objectness=float(raw[8]))
+                            box=_parse_box(raw[2:6]), p_inside=p_inside,
+                            p_surround=p_surround, objectness=objectness)
 
     return _parse_rows(path, [SCORED_HEADER], parse)
 
@@ -471,7 +480,8 @@ def read_bundle(directory) -> SceneBundle:
 
 
 def read_corpus(directory) -> list[SceneBundle]:
-    """Load a directory of bundles (or a single bundle) sorted by name."""
+    """Load a directory of bundles (or a single bundle) sorted by name;
+    no two bundles may give the same image id."""
     directory = Path(directory)
     if (directory / "spec.json").is_file():
         return [read_bundle(directory)]
@@ -481,4 +491,14 @@ def read_corpus(directory) -> list[SceneBundle]:
             bundles.append(read_bundle(child))
     if not bundles:
         raise BundleValidationError(directory, ["no scene bundles found"])
+    first: dict[str, str] = {}
+    duplicates = []
+    for b in bundles:
+        if b.image_id in first:
+            duplicates.append(f"image id {b.image_id!r} given by both "
+                              f"{first[b.image_id]} and {b.path}")
+        else:
+            first[b.image_id] = b.path
+    if duplicates:
+        raise BundleValidationError(directory, duplicates)
     return bundles

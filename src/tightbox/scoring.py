@@ -10,8 +10,8 @@ on discriminative object parts.
 Both statistics come from one kernel over a grid of enlarge ratios and
 top fractions: box means from the summed-area table (clamped to [0, 1]),
 ring pixels gathered into a scratch buffer once per ratio and reduced by
-an exact top-k mean per fraction. ``score`` and ``score_batch`` call it
-with a 1x1 grid, the ablation sweep with its whole grid.
+an exact top-k mean per fraction. ``score_batch`` calls it with a 1x1
+grid, the ablation sweep with its whole grid.
 
 Sharing work across fractions changes the order in which a ring's values
 are added, which in general changes the bits of a float sum. It cannot
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .confmap import ConfMap, IntegralImage, build_integral
+from .confmap import ConfMap, build_integral
 from .errors import EmptyRegionError
 from .geometry import Box, check_ratio, enlarge_coords
 
@@ -216,19 +216,22 @@ def _shared_topk_means(buf: np.ndarray, n: int,
     return [top[n - k] / k for k in ks]
 
 
-def _score_boxes(m: ConfMap, ii: IntegralImage, boxes: list[Box],
-                 ratios: list[float], fractions: list[float]):
+def _score_boxes(m: ConfMap, boxes: list[Box], ratios: list[float],
+                 fractions: list[float]):
     """The scoring kernel over a (ratio x fraction) grid, as columns.
 
     Returns ``(p_inside, rings)``: one box mean per box, in input order,
     and per ratio a pair ``(sizes, surround)`` where ``sizes`` holds each
     box's ring pixel count and ``surround[j]`` its surround mean at
     ``fractions[j]`` (0.0 for an empty ring); no boxes or no fractions
-    give empty columns. Boxes must lie inside the map.
+    give empty columns.
 
-    Box means come from the integral table once, clamped to [0, 1] (its
-    4-corner difference can round just outside on maps of tiny values);
-    each ring is gathered once per ratio with the strip gather.
+    Bounds are checked first, and a ValueError names every box outside
+    the map. The map's integral is then built once, through this module's
+    ``build_integral`` name, whatever the grid's size. Box means come from
+    it, clamped to [0, 1] (its 4-corner difference can round just outside
+    on maps of tiny values); each ring is gathered once per ratio with the
+    strip gather.
 
     When the grid has two or more fractions below 1, the map's
     ``_exact_ring_limit`` is computed once: every float64 sum over a ring
@@ -240,11 +243,15 @@ def _score_boxes(m: ConfMap, ii: IntegralImage, boxes: list[Box],
     the others partition a copy, and the smallest fraction partitions the
     ring in place, so a 1x1 grid copies nothing.
     """
+    bad = [i for i, b in enumerate(boxes) if not m.contains_box(b)]
+    if bad:
+        raise ValueError(f"boxes out of map bounds {m.width}x{m.height} "
+                         f"at input positions {bad}")
+    t = build_integral(m)
     if not boxes or not fractions:
         return [], [([], [[] for _ in fractions]) for _ in ratios]
     coords = np.array([b.as_tuple() for b in boxes], dtype=np.int64)
     x0, y0, x1, y1 = coords.T
-    t = ii.table
     p_in = (t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0]) / ((x1 - x0) * (y1 - y0))
     p_in = np.clip(p_in, 0.0, 1.0).tolist()
 
@@ -293,47 +300,19 @@ def _proposals(class_id: int, boxes: list[Box], p_in: list[float],
             for b, pi, n, ps in zip(boxes, p_in, sizes, surround)]
 
 
-def score(m: ConfMap, ii: IntegralImage, b: Box,
-          cfg: ScoringConfig) -> ScoredProposal:
-    """Score one proposal: objectness = purity - surrounding completeness.
-
-    ``ii`` is the map's integral image. An empty ring scores a surround
-    of 0.0; under the SKIP policy the proposal is also marked excluded.
-    """
-    if not m.contains_box(b):
-        raise ValueError(f"box {b} exceeds map bounds {m.width}x{m.height}")
-    p_in, [(sizes, [surround])] = _score_boxes(
-        m, ii, [b], [cfg.enlarge_ratio], [cfg.top_fraction])
-    return _proposals(m.class_id, [b], p_in, sizes, surround,
-                      cfg.empty_ring_policy)[0]
-
-
 def score_batch(m: ConfMap, boxes: list[Box],
                 cfg: ScoringConfig) -> list[ScoredProposal]:
-    """Score proposals in input order; entries equal single-box score() calls.
+    """Score proposals in input order: objectness = purity - surrounding
+    completeness. Each entry depends on its own box only.
 
-    Bounds are validated up front and a ValueError names every offending
-    box, so the batch either completes for all boxes or fails before
-    scoring any.
+    An empty ring scores a surround of 0.0; under the SKIP policy the
+    proposal is also marked excluded. Bounds are validated up front: a
+    ValueError names every offending box before any is scored.
     """
-    p_in, [(sizes, [surround])] = _score_grid(
+    p_in, [(sizes, [surround])] = _score_boxes(
         m, boxes, [cfg.enlarge_ratio], [cfg.top_fraction])
     return _proposals(m.class_id, boxes, p_in, sizes, surround,
                       cfg.empty_ring_policy)
-
-
-def _score_grid(m: ConfMap, boxes: list[Box], ratios: list[float],
-                fractions: list[float]):
-    """Bounds check, the map's integral, then the kernel over the grid.
-
-    The integral is built through this module's ``build_integral`` name,
-    once per call whatever the grid's size.
-    """
-    bad = [i for i, b in enumerate(boxes) if not m.contains_box(b)]
-    if bad:
-        raise ValueError(f"boxes out of map bounds {m.width}x{m.height} "
-                         f"at input positions {bad}")
-    return _score_boxes(m, build_integral(m), boxes, ratios, fractions)
 
 
 def _pool_rank(objectness: float, p_inside: float) -> tuple[float, float]:

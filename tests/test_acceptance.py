@@ -14,11 +14,11 @@ import pytest
 from metric_fixtures import AP_FIXTURES, CORLOC_FIXTURES, RECALL_FIXTURES
 from test_pseudomask import rule_oracle
 from tightbox.cli import main as cli_main
-from tightbox.confmap import ConfMap, build_integral
+from tightbox.confmap import ConfMap
 from tightbox.evaluation import corloc, recall_at_k, voc_ap
 from tightbox.geometry import Box, iou
 from tightbox.pseudomask import MaskConfig, generate_mask
-from tightbox.scoring import ScoringConfig, build_pool, score, score_batch
+from tightbox.scoring import ScoringConfig, build_pool, score_batch
 from tightbox.synth import (ProposalCounts, TrapParams, gen_proposals,
                             gen_scene, make_trap_spec, oracle_score)
 
@@ -46,13 +46,12 @@ def test_criterion_1_oracle_equivalence():
         w = int(rng.integers(4, 129))
         h = int(rng.integers(4, 129))
         m = ConfMap(class_id=1, values=rng.random((h, w)))
-        ii = build_integral(m)
         for _ in range(40):
             b = random_box(rng, w, h)
             cfg = ScoringConfig(
                 enlarge_ratio=float(rng.uniform(1.0, 1.5)),
                 top_fraction=fractions[int(rng.integers(0, 4))])
-            fast = score(m, ii, b, cfg)
+            fast = score_batch(m, [b], cfg)[0]
             ref = oracle_score(m, b, cfg)
             worst = max(worst,
                         abs(fast.p_inside - ref.p_inside),

@@ -241,8 +241,10 @@ class TestEval:
          "of class 1"),
         ("scene_0001,9,2,2,9,9,0.5,0.1,0.4",
          "row 3: no bundle of the corpus has image 'scene_0001' with a map "
-         "of class 9")],
-        ids=["unknown-image", "class-without-map"])
+         "of class 9"),
+        ("scene_0001,10,2,2,9000,9000,0.5,0.1,0.4",
+         "row 3: box (2, 2, 9000, 9000) exceeds image 'scene_0001' of 128x128")],
+        ids=["unknown-image", "class-without-map", "box-outside-image"])
     def test_scored_rows_from_another_corpus_are_a_data_error(
             self, corpus, tmp_path, capsys, command, row, problem):
         scored = self.scored_for(corpus, tmp_path)
@@ -252,6 +254,26 @@ class TestEval:
         assert run(["eval", command, "--corpus", corpus, "--scored", scored,
                     "--out", out]) == 2
         assert problem in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["recall", "corloc", "map"])
+    def test_invalid_scored_numbers_are_a_data_error(
+            self, corpus, tmp_path, capsys, command):
+        # every bad line is named; nan objectness used to give mAP 1.0
+        scored = self.scored_for(corpus, tmp_path)
+        lines = scored.read_text().splitlines()
+        image, cid = lines[1].split(",")[:2]
+        bad = [f"{image},{cid},2,2,9,9,{numbers}"
+               for numbers in ("0.5,0.1,nan", "7.5,0.1,7.4", "0.5,-inf,inf")]
+        scored.write_text("\n".join(lines[:2] + bad + lines[2:]) + "\n")
+        out = tmp_path / "metric.json"
+        assert run(["eval", command, "--corpus", corpus, "--scored", scored,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        for problem in ("line 3: objectness must be finite, got nan",
+                        "line 4: p_inside must be in [0, 1], got 7.5",
+                        "line 5: p_surround must be in [0, 1], got -inf"):
+            assert problem in err
         assert not out.exists()
 
     @pytest.mark.parametrize("args,value", [

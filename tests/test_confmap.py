@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tightbox.confmap import ConfMap, build_integral
 from tightbox.geometry import Box, ring
-from tightbox.scoring import ScoringConfig, _gather_ring, score
+from tightbox.scoring import ScoringConfig, _gather_ring, score_batch
 
 
 def naive_box_sum(values, b):
@@ -16,15 +16,14 @@ def naive_box_sum(values, b):
     return total
 
 
-def table_box_sum(ii, b):
+def table_box_sum(t, b):
     """The 4-corner query of the summed-area table."""
-    t = ii.table
     return float(t[b.y1, b.x1] - t[b.y0, b.x1] - t[b.y1, b.x0] + t[b.y0, b.x0])
 
 
 def box_mean(m, b):
     """The box mean as the scorer reports it: p_inside at ratio 1."""
-    return score(m, build_integral(m), b, ScoringConfig(enlarge_ratio=1.0)).p_inside
+    return score_batch(m, [b], ScoringConfig(enlarge_ratio=1.0))[0].p_inside
 
 
 def gather(m, r):
@@ -67,33 +66,39 @@ class TestConfMap:
 
 
 class TestIntegralImage:
+    def test_is_read_only_float64_table(self):
+        m = ConfMap(class_id=0, values=np.ones((3, 5)))
+        t = build_integral(m)
+        assert isinstance(t, np.ndarray)
+        assert (t.shape, t.dtype) == ((4, 6), np.float64)
+        assert not t.flags.writeable
+
     def test_all_ones_full_sum(self):
         m = ConfMap(class_id=0, values=np.ones((2, 2)))
-        ii = build_integral(m)
-        assert table_box_sum(ii, Box(0, 0, 2, 2)) == 4.0
+        assert table_box_sum(build_integral(m), Box(0, 0, 2, 2)) == 4.0
 
     def test_single_pixel_query(self):
         m = ConfMap(class_id=0, values=np.array([[0.5, 0.0], [0.0, 0.5]]))
-        ii = build_integral(m)
-        assert table_box_sum(ii, Box(0, 0, 1, 1)) == 0.5
-        assert table_box_sum(ii, Box(1, 1, 2, 2)) == 0.5
+        t = build_integral(m)
+        assert table_box_sum(t, Box(0, 0, 1, 1)) == 0.5
+        assert table_box_sum(t, Box(1, 1, 2, 2)) == 0.5
 
     def test_table_monotone_along_rows_and_columns(self):
         rng = np.random.default_rng(21)
         m = ConfMap(class_id=0, values=rng.random((32, 48)))
-        t = build_integral(m).table
+        t = build_integral(m)
         assert np.all(np.diff(t, axis=0) >= 0)
         assert np.all(np.diff(t, axis=1) >= 0)
 
     def test_matches_naive_sum_on_random_boxes(self):
         rng = np.random.default_rng(22)
         m = ConfMap(class_id=0, values=rng.random((64, 64)))
-        ii = build_integral(m)
+        t = build_integral(m)
         for _ in range(1000):
             x0 = int(rng.integers(0, 63)); y0 = int(rng.integers(0, 63))
             x1 = int(rng.integers(x0 + 1, 65)); y1 = int(rng.integers(y0 + 1, 65))
             b = Box(x0, y0, x1, y1)
-            assert table_box_sum(ii, b) == pytest.approx(naive_box_sum(m.values, b), abs=1e-9)
+            assert table_box_sum(t, b) == pytest.approx(naive_box_sum(m.values, b), abs=1e-9)
 
 
 class TestBoxMean:

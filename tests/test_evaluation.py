@@ -12,7 +12,7 @@ from tightbox.evaluation import (ApMode, GroundTruth, GtInstance, ablation_sweep
 from tightbox.confmap import ConfMap
 from tightbox.geometry import Box
 from tightbox.scoring import (EmptyRingPolicy, ScoringConfig, _proposals,
-                              _score_grid, score_batch)
+                              _score_boxes, score_batch)
 from tightbox.synth import (ProposalCounts, gen_proposals, gen_scene,
                             make_trap_spec, oracle_score)
 
@@ -252,7 +252,7 @@ def edge_case_corpus(seed):
 
 
 def grid_cell(m, boxes, p_in, rings, i, j, policy):
-    """Cell (i, j) of a ``_score_grid`` result as ScoredProposals."""
+    """Cell (i, j) of a ``_score_boxes`` result as ScoredProposals."""
     sizes, surround = rings[i]
     return _proposals(m.class_id, boxes, p_in, sizes, surround[j], policy)
 
@@ -292,7 +292,7 @@ class TestSweepExactness:
         for scene in edge_case_corpus(seed):
             for cid, m in scene.maps.items():
                 boxes = [b for c, b in scene.proposals if c == cid]
-                p_in, rings = _score_grid(m, boxes, ratios, fractions)
+                p_in, rings = _score_boxes(m, boxes, ratios, fractions)
                 for i, r in enumerate(ratios):
                     for j, f in enumerate(fractions):
                         expected = score_batch(m, boxes, ScoringConfig(
@@ -300,7 +300,7 @@ class TestSweepExactness:
                             empty_ring_policy=policy))
                         assert grid_cell(m, boxes, p_in, rings, i, j,
                                          policy) == expected
-                        one = _score_grid(m, boxes, [r], [f])
+                        one = _score_boxes(m, boxes, [r], [f])
                         assert grid_cell(m, boxes, *one, 0, 0, policy) == expected
 
     @pytest.mark.parametrize("ratios,fractions,value", [

@@ -222,6 +222,24 @@ class TestScoredCsv:
         assert text[0] == "image_id,class_id,x0,y0,x1,y1,p_inside,p_surround,objectness"
         assert "0.123456789" in text[1]
 
+    @pytest.mark.parametrize("numbers,problem", [
+        ("0.5,0.1,nan", "objectness must be finite, got nan"),
+        ("0.5,0.1,inf", "objectness must be finite, got inf"),
+        ("nan,0.1,0.4", "p_inside must be in [0, 1], got nan"),
+        ("7.5,0.1,7.4", "p_inside must be in [0, 1], got 7.5"),
+        ("0.5,-0.25,0.75", "p_surround must be in [0, 1], got -0.25"),
+        ("0.5,inf,-inf", "p_surround must be in [0, 1], got inf")],
+        ids=["objectness-nan", "objectness-inf", "p_inside-nan", "p_inside-7.5",
+             "p_surround-negative", "p_surround-inf"])
+    def test_invalid_numbers_rejected(self, tmp_path, numbers, problem):
+        path = tmp_path / "s.csv"
+        path.write_text("image_id,class_id,x0,y0,x1,y1,p_inside,p_surround,objectness\n"
+                        "a,1,0,0,2,2,0.5,0.25,0.25\n"
+                        f"a,1,0,0,2,2,{numbers}\n")
+        with pytest.raises(ParseError) as err:
+            read_scored(path)
+        assert err.value.failures == [(3, problem)]
+
 
 class TestBundles:
     def make_bundle(self, tmp_path, with_proposals=True):
@@ -309,6 +327,17 @@ class TestBundles:
             write_bundle(tmp_path / name, name, maps, [(1, Box(1, 1, 5, 5))])
         bundles = read_corpus(tmp_path)
         assert [b.image_id for b in bundles] == ["a_scene", "b_scene"]
+
+    def test_duplicate_image_ids_rejected_naming_both_bundles(self, tmp_path):
+        maps = {1: ConfMap(class_id=1, values=np.full((8, 8), 0.5))}
+        for name, image_id in (("first", "same_scene"), ("second", "same_scene"),
+                               ("third", "third")):
+            write_bundle(tmp_path / name, image_id, maps, [(1, Box(1, 1, 5, 5))])
+        with pytest.raises(BundleValidationError) as err:
+            read_corpus(tmp_path)
+        assert err.value.failures == [
+            f"image id 'same_scene' given by both {tmp_path / 'first'} "
+            f"and {tmp_path / 'second'}"]
 
     def test_single_bundle_directory_loads(self, tmp_path):
         path = self.make_bundle(tmp_path)

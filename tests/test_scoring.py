@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tightbox.confmap import ConfMap, build_integral
+from tightbox.confmap import ConfMap
 from tightbox.errors import EmptyRegionError
 from tightbox.geometry import Box, ring
 from tightbox.scoring import (EmptyRingPolicy, ScoredProposal,
                               ScoringConfig, _exact_ring_limit, _proposals,
-                              _score_grid, build_pool, conditional_average,
-                              score, score_batch, top_k_count)
+                              _score_boxes, build_pool, conditional_average,
+                              score_batch, top_k_count)
 from tightbox.synth import oracle_score
 
 
@@ -114,10 +114,10 @@ class TestConditionalAverage:
 
 
 class TestSurroundingCompleteness:
-    """The surround term of score(): the ring's conditional average."""
+    """The surround term of score_batch: the ring's conditional average."""
 
     def surround(self, m, b, cfg):
-        return score(m, build_integral(m), b, cfg).p_surround
+        return score_batch(m, [b], cfg)[0].p_surround
 
     def test_background_ring_scores_zero(self):
         values = np.zeros((20, 20))
@@ -153,7 +153,7 @@ class TestSurroundingCompleteness:
     def test_empty_ring_skip_policy_excludes(self):
         m = ConfMap(class_id=1, values=np.full((10, 10), 0.4))
         cfg = ScoringConfig(empty_ring_policy=EmptyRingPolicy.SKIP)
-        s = score(m, build_integral(m), Box(0, 0, 10, 10), cfg)
+        s = score_batch(m, [Box(0, 0, 10, 10)], cfg)[0]
         assert s.excluded
         assert s.p_surround == 0.0
 
@@ -161,23 +161,21 @@ class TestSurroundingCompleteness:
 class TestScore:
     def test_uniform_map_cancels(self):
         m = ConfMap(class_id=1, values=np.full((30, 30), 0.7))
-        ii = build_integral(m)
-        s = score(m, ii, Box(8, 8, 20, 20), ScoringConfig())
+        s = score_batch(m, [Box(8, 8, 20, 20)], ScoringConfig())[0]
         assert s.objectness == pytest.approx(0.0, abs=1e-6)
 
     def test_perfect_tight_box(self):
         values = np.zeros((30, 30))
         values[10:20, 10:20] = 1.0
         m = ConfMap(class_id=1, values=values)
-        s = score(m, build_integral(m), Box(10, 10, 20, 20), ScoringConfig())
+        s = score_batch(m, [Box(10, 10, 20, 20)], ScoringConfig())[0]
         assert s.objectness == pytest.approx(1.0)
 
     def test_part_trap_scene_prefers_tight_box(self):
         m, gt, part = part_trap_map()
-        ii = build_integral(m)
         cfg = ScoringConfig()
-        s_gt = score(m, ii, gt, cfg)
-        s_part = score(m, ii, part, cfg)
+        s_gt = score_batch(m, [gt], cfg)[0]
+        s_part = score_batch(m, [part], cfg)[0]
         # values from the construction: gt purity 0.74 over empty ring,
         # part purity 0.95 over a body-level (0.6) ring
         assert s_gt.p_inside == pytest.approx(0.74, abs=1e-6)
@@ -189,22 +187,21 @@ class TestScore:
     def test_objectness_identity_and_bounds(self):
         rng = np.random.default_rng(34)
         m = ConfMap(class_id=1, values=rng.random((32, 32)))
-        ii = build_integral(m)
         for _ in range(200):
-            s = score(m, ii, random_box(rng, 32, 32), ScoringConfig())
+            s = score_batch(m, [random_box(rng, 32, 32)], ScoringConfig())[0]
             assert s.objectness == s.p_inside - s.p_surround
             assert -1.0 <= s.objectness <= 1.0
 
     def test_empty_ring_zero_keeps_purity(self):
         m = ConfMap(class_id=1, values=np.full((10, 10), 0.4))
-        s = score(m, build_integral(m), Box(0, 0, 10, 10), ScoringConfig())
+        s = score_batch(m, [Box(0, 0, 10, 10)], ScoringConfig())[0]
         assert not s.excluded
         assert s.objectness == s.p_inside
 
     def test_empty_ring_skip_marks_excluded(self):
         m = ConfMap(class_id=1, values=np.full((10, 10), 0.4))
         cfg = ScoringConfig(empty_ring_policy=EmptyRingPolicy.SKIP)
-        s = score(m, build_integral(m), Box(0, 0, 10, 10), cfg)
+        s = score_batch(m, [Box(0, 0, 10, 10)], cfg)[0]
         assert s.excluded
 
     def test_uniform_shift_leaves_objectness_unchanged(self):
@@ -214,9 +211,8 @@ class TestScore:
         cfg = ScoringConfig()
         m1 = ConfMap(class_id=1, values=base)
         m2 = ConfMap(class_id=1, values=base + 0.3)
-        ii1, ii2 = build_integral(m1), build_integral(m2)
         for b in boxes:
-            s1, s2 = score(m1, ii1, b, cfg), score(m2, ii2, b, cfg)
+            s1, s2 = score_batch(m1, [b], cfg)[0], score_batch(m2, [b], cfg)[0]
             assert s2.objectness == pytest.approx(s1.objectness, abs=1e-6)
 
     def test_invariant_enforced_on_construction(self):
@@ -234,20 +230,25 @@ class TestScoreBatch:
         assert score_batch(m, [], ScoringConfig()) == []
 
     def test_singleton_equals_single_call(self):
+        # a box scores the same alone as first, middle or last of a batch
         rng = np.random.default_rng(36)
         m = ConfMap(class_id=1, values=rng.random((16, 16)))
         b = Box(2, 3, 10, 12)
+        others = [random_box(rng, 16, 16) for _ in range(6)]
         cfg = ScoringConfig()
-        assert score_batch(m, [b], cfg) == [score(m, build_integral(m), b, cfg)]
+        [alone] = score_batch(m, [b], cfg)
+        for pos in (0, 3, 6):
+            batch = others[:pos] + [b] + others[pos:]
+            assert score_batch(m, batch, cfg)[pos] == alone
 
     def test_batch_equals_sequential_singles(self):
+        # batch independence: each entry equals its box scored alone
         rng = np.random.default_rng(37)
         m = ConfMap(class_id=1, values=rng.random((48, 48)))
         boxes = [random_box(rng, 48, 48) for _ in range(1000)]
         cfg = ScoringConfig(enlarge_ratio=1.3, top_fraction=0.7)
-        ii = build_integral(m)
         batch = score_batch(m, boxes, cfg)
-        assert batch == [score(m, ii, b, cfg) for b in boxes]
+        assert batch == [score_batch(m, [b], cfg)[0] for b in boxes]
 
     def test_rejects_out_of_bounds_boxes_naming_positions(self):
         m = ConfMap(class_id=1, values=np.zeros((8, 8)))
@@ -310,7 +311,7 @@ class TestPurityOnly:
         values = np.zeros((20, 20))
         values[5:15, 5:15] = 1.0
         m = ConfMap(class_id=1, values=values)
-        s = score(m, build_integral(m), Box(5, 5, 15, 15), PURITY)
+        s = score_batch(m, [Box(5, 5, 15, 15)], PURITY)[0]
         assert s.objectness == 1.0
         assert s.p_surround == 0.0
 
@@ -332,13 +333,12 @@ class TestPurity:
         # p_inside is the box mean at any ratio; at ratio 1 it is the score
         rng = np.random.default_rng(41)
         m = ConfMap(class_id=1, values=rng.random((16, 16)))
-        ii = build_integral(m)
         b = Box(3, 4, 10, 12)
         naive = float(m.values[4:12, 3:10].astype(np.float64).mean())
-        inside_only = score(m, ii, b, PURITY)
+        inside_only = score_batch(m, [b], PURITY)[0]
         assert inside_only.p_inside == pytest.approx(naive, abs=1e-9)
         assert inside_only.objectness == inside_only.p_inside
-        assert score(m, ii, b, ScoringConfig()).p_inside == inside_only.p_inside
+        assert score_batch(m, [b], ScoringConfig())[0].p_inside == inside_only.p_inside
 
 
 def tiny_value_map():
@@ -362,7 +362,7 @@ class TestTinyValueMap:
     def test_score(self):
         m, b = tiny_value_map()
         cfg = ScoringConfig()
-        self.assert_matches_oracle(score(m, build_integral(m), b, cfg), m, b, cfg)
+        self.assert_matches_oracle(score_batch(m, [b], cfg)[0], m, b, cfg)
 
     def test_score_batch(self):
         m, b = tiny_value_map()
@@ -467,7 +467,7 @@ class TestExactGrid:
         m, boxes = small_map_and_boxes(
             seed, certified_values if certified else fallback_values)
         limit = _exact_ring_limit(m.values)
-        p_in, rings = _score_grid(m, boxes, ratios, fractions)
+        p_in, rings = _score_boxes(m, boxes, ratios, fractions)
         sizes = [n for ring_sizes, _ in rings for n in ring_sizes]
         if certified:
             assert max(sizes) <= limit
@@ -496,7 +496,7 @@ class TestGridOracle:
     @example(seed=1, ratios=[1.0, 3.0], fractions=[1.0, 0.5, 1e-9])
     def test_cells_match_oracle(self, seed, ratios, fractions):
         m, boxes = small_map_and_boxes(seed, lambda rng, shape: rng.random(shape))
-        p_in, rings = _score_grid(m, boxes, ratios, fractions)
+        p_in, rings = _score_boxes(m, boxes, ratios, fractions)
         for i, r in enumerate(ratios):
             ring_sizes, surround = rings[i]
             for j, f in enumerate(fractions):
@@ -539,7 +539,7 @@ class TestKernelRange:
         m, boxes = small_map_and_boxes(
             seed, lambda rng, shape: unit_edge_values(rng, shape, exponent))
         limit = _exact_ring_limit(m.values)
-        p_in, rings = _score_grid(m, boxes, ratios, fractions)
+        p_in, rings = _score_boxes(m, boxes, ratios, fractions)
         sizes = [n for ring_sizes, _ in rings for n in ring_sizes]
         if certified:
             assert max(sizes) <= limit

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tightbox.confmap import ConfMap, build_integral
+from tightbox.confmap import ConfMap
 from tightbox.geometry import Box, iou
-from tightbox.scoring import EmptyRingPolicy, ScoringConfig, score
+from tightbox.scoring import EmptyRingPolicy, ScoringConfig, score_batch
 from tightbox.synth import (ProposalCounts, SceneObject,
                             SceneSpec, TrapParams, box_blur, gen_proposals,
                             gen_scene, make_linked_spec, make_trap_spec,
@@ -189,7 +189,7 @@ class TestOracleScore:
                     int(rng.integers(y0 + 1, h + 1)))
             cfg = ScoringConfig(enlarge_ratio=float(rng.uniform(1.0, 1.5)),
                                 top_fraction=float(rng.choice([0.3, 0.5, 0.7, 1.0])))
-            fast = score(m, build_integral(m), b, cfg)
+            fast = score_batch(m, [b], cfg)[0]
             ref = oracle_score(m, b, cfg)
             assert fast.p_inside == pytest.approx(ref.p_inside, abs=1e-6)
             assert fast.p_surround == pytest.approx(ref.p_surround, abs=1e-6)
