@@ -3,9 +3,9 @@
 Subcommands: synth (generate a scene corpus), score (rank proposals on
 confidence maps), eval (recall / corloc / map / sweep), mask (pseudo
 segmentation masks) and overlay (box inspection images). Every run that
-writes files also writes a manifest recording the configuration, the
-seed and a checksum per output, so identical manifests imply identical
-outputs.
+writes files, except overlay's, also writes a manifest recording the
+configuration, the seed and a checksum per output, so identical
+manifests imply identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -50,8 +49,10 @@ def _sha256(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(path: Path, command: str, config: dict, inputs: list,
+def _write_manifest(out: Path, command: str, config: dict, inputs: list,
                     outputs: list[Path], seed=None) -> None:
+    """The manifest of a run whose output is ``out``: ``out/manifest.json``
+    for a directory, ``<out>.manifest.json`` otherwise."""
     manifest = {
         "command": command,
         "config": config,
@@ -60,36 +61,18 @@ def _write_manifest(path: Path, command: str, config: dict, inputs: list,
         "version": __version__,
         "outputs": {str(p): _sha256(Path(p)) for p in sorted(outputs, key=str)},
     }
-    write_json(manifest, path)
+    write_json(manifest, out / "manifest.json" if out.is_dir()
+               else out.with_name(out.name + ".manifest.json"))
 
 
-def _scoring_config(args) -> ScoringConfig:
+def _number_list(text: str, kind=float) -> list:
     try:
-        return ScoringConfig(enlarge_ratio=args.ratio,
-                             top_fraction=args.top_frac,
-                             pool_size=args.pool,
-                             empty_ring_policy=EmptyRingPolicy(args.empty_ring))
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise UsageError(f"expected a comma-separated number list, got {text!r}")
+        raise UsageError(f"expected a comma-separated {kind.__name__} list, "
+                         f"got {text!r}")
     if not values:
-        raise UsageError(f"empty number list: {text!r}")
-    return values
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}")
-    if not values:
-        raise UsageError(f"empty integer list: {text!r}")
+        raise UsageError(f"empty {kind.__name__} list: {text!r}")
     return values
 
 
@@ -97,10 +80,19 @@ def _int_list(text: str) -> list[int]:
 # score
 
 def cmd_score(args) -> int:
-    cfg = _scoring_config(args)
-    if args.baseline == "purity":
-        cfg = dataclasses.replace(cfg, enlarge_ratio=1.0,
-                                  empty_ring_policy=EmptyRingPolicy.ZERO)
+    purity = args.baseline == "purity"
+    if purity and args.ratio not in (None, 1.0):
+        raise UsageError(f"--baseline purity scores at ratio 1, got --ratio {args.ratio}")
+    if purity and args.empty_ring == "skip":
+        raise UsageError("--baseline purity scores an empty ring as zero, "
+                         "got --empty-ring skip")
+    ratio = ScoringConfig.enlarge_ratio if args.ratio is None else args.ratio
+    try:
+        cfg = ScoringConfig(enlarge_ratio=1.0 if purity else ratio,
+                            top_fraction=args.top_frac, pool_size=args.pool,
+                            empty_ring_policy=EmptyRingPolicy(args.empty_ring))
+    except ValueError as exc:
+        raise UsageError(str(exc))
     bundles = read_corpus(args.corpus)
     records = []
     for bundle in bundles:
@@ -118,8 +110,8 @@ def cmd_score(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_scored(records, out)
     _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"), "score",
-        {"ratio": args.ratio, "top_frac": args.top_frac, "pool": args.pool,
+        out, "score",
+        {"ratio": ratio, "top_frac": args.top_frac, "pool": args.pool,
          "baseline": args.baseline, "empty_ring": args.empty_ring},
         [args.corpus], [out])
     print(f"scored {len(records)} pooled proposals from {len(bundles)} "
@@ -160,7 +152,7 @@ def cmd_synth(args) -> int:
                        "warnings": list(family.warnings)})
         outputs.extend(sorted(bundle_dir.iterdir()))
     _write_manifest(
-        out / "manifest.json", "synth",
+        out, "synth",
         {"scenes": args.scenes, "width": args.width, "height": args.height,
          "noise": args.noise, "blur": args.blur,
          "failure_mode": args.failure_mode, "tight": args.tight,
@@ -175,23 +167,10 @@ def cmd_synth(args) -> int:
 # eval
 
 def _eval_inputs(args) -> tuple[list[ScoredRecord], list[GroundTruth]]:
-    """The scored rows and the corpus's ground truth. Each row must name an
-    image of the corpus and a class with a map in its bundle, and its box
-    must lie inside that image: rows of another corpus would all score as
-    misses."""
+    """The scored rows, each checked against the corpus's maps, and the
+    corpus's ground truth."""
     bundles = read_corpus(args.corpus)
-    rows = read_scored(args.scored)
-    maps = {b.image_id: b.maps for b in bundles}
-    for row_idx, r in enumerate(rows, start=2):
-        m = maps.get(r.image_id, {}).get(r.class_id)
-        if m is None:
-            raise TightboxError(f"{args.scored} row {row_idx}: no bundle of the "
-                                f"corpus has image {r.image_id!r} with a map "
-                                f"of class {r.class_id}")
-        if not m.contains_box(r.box):
-            raise TightboxError(f"{args.scored} row {row_idx}: box "
-                                f"{r.box.as_tuple()} exceeds image "
-                                f"{r.image_id!r} of {m.width}x{m.height}")
+    rows = read_scored(args.scored, maps={b.image_id: b.maps for b in bundles})
     return rows, [GroundTruth(image_id=b.image_id, entries=tuple(b.gt))
                   for b in bundles]
 
@@ -204,20 +183,28 @@ def _pools(rows: list[ScoredRecord]) -> list[CandidatePool]:
             for (img, cid), entries in grouped.items()]
 
 
-def _emit_result(args, name: str, payload: dict, inputs: list) -> None:
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_json(payload, out)
-        _write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                        f"eval {name}", {}, inputs, [out])
-        print(f"wrote {out}")
-    else:
+def _emit_result(args, name: str, payload: dict, inputs: list,
+                 config: dict | None = None, report: str | None = None) -> None:
+    """The payload as JSON at ``--out`` (the report beside it as .tsv) with
+    a manifest, or both printed."""
+    if not args.out:
         print(json.dumps(payload, indent=2, sort_keys=True))
+        if report is not None:
+            print(report)
+        return
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_json(payload, out)
+    outputs = [out]
+    if report is not None:
+        outputs.append(out.with_suffix(".tsv"))
+        outputs[1].write_text(report + "\n")
+    _write_manifest(out, f"eval {name}", config or {}, inputs, outputs)
+    print("wrote " + " and ".join(map(str, outputs)))
 
 
 def cmd_eval_recall(args) -> int:
-    ks = _int_list(args.ks)
+    ks = _number_list(args.ks, int)
     if min(ks) < 1:
         raise UsageError(f"--ks values must be >= 1, got {min(ks)}")
     rows, gts = _eval_inputs(args)
@@ -259,7 +246,7 @@ def cmd_eval_map(args) -> int:
 
 
 def cmd_eval_sweep(args) -> int:
-    ratios, fracs = _float_list(args.ratios), _float_list(args.fracs)
+    ratios, fracs = _number_list(args.ratios), _number_list(args.fracs)
     try:
         sweep_configs(ratios, fracs)
     except ValueError as exc:
@@ -270,21 +257,8 @@ def cmd_eval_sweep(args) -> int:
             raise TightboxError(f"{b.path}: no proposals.csv; the sweep scores "
                                 f"proposals itself")
     result = ablation_sweep(bundles, ratios, fracs)
-    payload = result.to_table()
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_json(payload, out)
-        report_path = out.with_suffix(".tsv")
-        report_path.write_text(result.report() + "\n")
-        _write_manifest(out.with_suffix(out.suffix + ".manifest.json"),
-                        "eval sweep",
-                        {"ratios": args.ratios, "fracs": args.fracs},
-                        [args.corpus], [out, report_path])
-        print(f"wrote {out} and {report_path}")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        print(result.report())
+    _emit_result(args, "sweep", result.to_table(), [args.corpus],
+                 {"ratios": args.ratios, "fracs": args.fracs}, result.report())
     return 0
 
 
@@ -316,7 +290,7 @@ def cmd_mask(args) -> int:
                   else out.with_suffix(out.suffix + ".stats.json"))
     write_json(stats, stats_path)
     _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"), "mask",
+        out, "mask",
         {"fg_thresh": args.fg_thresh, "bg_thresh": args.bg_thresh,
          "normalize": not args.no_normalize},
         list(args.cams) + [args.saliency], [out, stats_path])
@@ -348,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="rank a corpus's proposals per class")
     p.add_argument("corpus", help="scene bundle or corpus directory")
     p.add_argument("--out", required=True, help="scored CSV path")
-    p.add_argument("--ratio", type=float, default=1.2,
+    p.add_argument("--ratio", type=float,
                    help="box enlargement ratio (default 1.2)")
     p.add_argument("--top-frac", type=float, default=0.5,
                    help="conditional-average fraction (default 0.5)")
@@ -440,7 +414,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"tightbox: usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (TightboxError, FileNotFoundError, ValueError) as exc:
+    except (TightboxError, OSError, ValueError) as exc:
         print(f"tightbox: data error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

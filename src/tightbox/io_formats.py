@@ -43,27 +43,30 @@ GT_HEADER = ["image_id", "class_id", "x0", "y0", "x1", "y1", "ignore_flag"]
 # ---------------------------------------------------------------------------
 # confidence maps
 
-def write_confmap(m: ConfMap, path) -> None:
-    """Write by extension: .pgm -> quantized PGM, anything else -> raw float."""
-    path = Path(path)
-    if path.suffix.lower() == ".pgm":
-        write_confmap_pgm(m, path)
-    else:
-        write_confmap_raw(m, path)
+def write_pgm(codes: np.ndarray, path) -> None:
+    """Binary PGM (P5) of a 2-D code array: uint8 gives maxval 255, big-endian
+    uint16 (``>u2``) gives 65535."""
+    maxval = {"|u1": 255, ">u2": 65535}.get(codes.dtype.str)
+    if maxval is None:
+        raise ValueError(f"PGM codes must be uint8 or >u2, got {codes.dtype.str}")
+    height, width = codes.shape
+    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+    Path(path).write_bytes(header + codes.tobytes())
 
 
 def read_confmap(path, class_id: int = 0) -> ConfMap:
-    """Sniff the magic bytes and dispatch. ``class_id`` applies to PGM only
-    (the raw format carries its own)."""
+    """Read the file once and decode it by its magic bytes. ``class_id``
+    applies to PGM only (the raw format carries its own)."""
     path = Path(path)
-    with open(path, "rb") as f:
-        magic = f.read(4)
-    if magic == RAW_MAGIC:
-        return read_confmap_raw(path)
-    if magic[:2] == b"P5":
-        return read_confmap_pgm(path, class_id=class_id)
+    data = path.read_bytes()
+    if data[:4] == RAW_MAGIC:
+        return _decode_raw(path, data)
+    if data[:2] == b"P5":
+        codes, maxval = _decode_pgm(path, data)
+        values = (codes.astype(np.float64) / maxval).astype(np.float32)
+        return ConfMap(class_id=class_id, values=values)
     raise MalformedFileError(path, "bad_header",
-                             f"unrecognized magic bytes {magic!r}")
+                             f"unrecognized magic bytes {data[:4]!r}")
 
 
 def write_confmap_raw(m: ConfMap, path) -> None:
@@ -72,10 +75,9 @@ def write_confmap_raw(m: ConfMap, path) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def read_confmap_raw(path) -> ConfMap:
-    path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 16 or data[:4] != RAW_MAGIC:
+def _decode_raw(path, data: bytes) -> ConfMap:
+    """A TSCF file's bytes, magic already matched."""
+    if len(data) < 16:
         raise MalformedFileError(path, "bad_header", "missing TSCF header")
     width, height, class_id = struct.unpack("<III", data[4:16])
     if not (1 <= width <= MAX_DIMENSION and 1 <= height <= MAX_DIMENSION):
@@ -96,9 +98,7 @@ def write_confmap_pgm(m: ConfMap, path, maxval: int = 255) -> None:
     if maxval not in (255, 65535):
         raise ValueError(f"PGM maxval must be 255 or 65535, got {maxval}")
     quantized = np.rint(m.values.astype(np.float64) * maxval)
-    data = quantized.astype(">u2" if maxval > 255 else "u1").tobytes()
-    header = f"P5\n{m.width} {m.height}\n{maxval}\n".encode("ascii")
-    Path(path).write_bytes(header + data)
+    write_pgm(quantized.astype(">u2" if maxval > 255 else "u1"), path)
 
 
 def _read_pgm_tokens(path, data: bytes):
@@ -123,10 +123,8 @@ def _read_pgm_tokens(path, data: bytes):
     return tokens, pos + 1  # single whitespace byte separates header and raster
 
 
-def read_pgm_codes(path) -> tuple[np.ndarray, int]:
-    """Decode a P5 file into its raw integer sample array and maxval."""
-    path = Path(path)
-    data = path.read_bytes()
+def _decode_pgm(path, data: bytes) -> tuple[np.ndarray, int]:
+    """A P5 file's bytes as its raw integer sample array and maxval."""
     tokens, offset = _read_pgm_tokens(path, data)
     if tokens[0] != b"P5":
         raise MalformedFileError(path, "bad_header",
@@ -154,22 +152,15 @@ def read_pgm_codes(path) -> tuple[np.ndarray, int]:
     return codes, maxval
 
 
-def read_confmap_pgm(path, class_id: int = 0) -> ConfMap:
-    codes, maxval = read_pgm_codes(path)
-    values = (codes.astype(np.float64) / maxval).astype(np.float32)
-    return ConfMap(class_id=class_id, values=values)
-
-
 # ---------------------------------------------------------------------------
 # label masks (raw codes, not normalized)
 
 def write_mask(m: PseudoMask, path) -> None:
-    header = f"P5\n{m.width} {m.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + m.labels.tobytes())
+    write_pgm(m.labels, path)
 
 
 def read_mask(path) -> PseudoMask:
-    codes, maxval = read_pgm_codes(path)
+    codes, maxval = _decode_pgm(path, Path(path).read_bytes())
     if maxval != 255:
         raise MalformedFileError(path, "bad_header",
                                  f"mask PGM must have maxval 255, got {maxval}")
@@ -240,14 +231,27 @@ def _parse_box(fields: list[str]) -> Box:
     return Box(x0, y0, x1, y1)
 
 
-def read_boxes(path) -> list[BoxRecord]:
-    """Proposal CSV; the trailing score column is optional."""
+def _check_bundle_row(r, image_id: str | None, size: tuple[int, int] | None):
+    """A bundle row names the bundle's image and its box lies inside it."""
+    if image_id is not None and r.image_id != image_id:
+        raise ValueError(f"image_id {r.image_id!r} is not the bundle's "
+                         f"image {image_id!r}")
+    if size is not None and (r.box.x1 > size[0] or r.box.y1 > size[1]):
+        raise ValueError(f"box {r.box.as_tuple()} exceeds image "
+                         f"{size[0]}x{size[1]}")
+    return r
+
+
+def read_boxes(path, size=None, image_id=None) -> list[BoxRecord]:
+    """Proposal CSV; the trailing score column is optional. Given a
+    (width, height) ``size`` or an ``image_id``, every row must fit it."""
     def parse(header, raw):
         if len(raw) != len(header):
             raise ValueError(f"expected {len(header)} fields, got {len(raw)}")
         score = float(raw[6]) if len(header) == 7 else None
-        return BoxRecord(image_id=raw[0], class_id=int(raw[1]),
-                         box=_parse_box(raw[2:6]), score=score)
+        return _check_bundle_row(BoxRecord(image_id=raw[0], class_id=int(raw[1]),
+                                      box=_parse_box(raw[2:6]), score=score),
+                            image_id, size)
 
     return _parse_rows(path, [BOX_HEADER, BOX_HEADER + ["score"]], parse)
 
@@ -264,15 +268,17 @@ def write_boxes(records: list[BoxRecord], path) -> None:
             w.writerow(row)
 
 
-def read_ground_truth(path) -> list[GtRecord]:
+def read_ground_truth(path, size=None, image_id=None) -> list[GtRecord]:
+    """Ground-truth CSV; ``size`` and ``image_id`` as for read_boxes."""
     def parse(header, raw):
         if len(raw) != 7:
             raise ValueError(f"expected 7 fields, got {len(raw)}")
         flag = int(raw[6])
         if flag not in (0, 1):
             raise ValueError(f"ignore_flag must be 0 or 1, got {raw[6]}")
-        return GtRecord(image_id=raw[0], class_id=int(raw[1]),
-                        box=_parse_box(raw[2:6]), ignore=bool(flag))
+        return _check_bundle_row(GtRecord(image_id=raw[0], class_id=int(raw[1]),
+                                     box=_parse_box(raw[2:6]), ignore=bool(flag)),
+                            image_id, size)
 
     return _parse_rows(path, [GT_HEADER], parse)
 
@@ -285,9 +291,11 @@ def write_ground_truth(records: list[GtRecord], path) -> None:
             w.writerow([r.image_id, r.class_id, *r.box.as_tuple(), int(r.ignore)])
 
 
-def read_scored(path) -> list[ScoredRecord]:
+def read_scored(path, maps=None) -> list[ScoredRecord]:
     """Scored-proposal CSV; p_inside and p_surround must lie in [0, 1] and
-    objectness must be finite."""
+    objectness must be finite. Given ``maps`` ({image_id: {class_id:
+    ConfMap}}), each row's image and class must have a map that holds its
+    box: rows of another corpus would all score as misses."""
     def parse(header, raw):
         if len(raw) != 9:
             raise ValueError(f"expected 9 fields, got {len(raw)}")
@@ -297,9 +305,18 @@ def read_scored(path) -> list[ScoredRecord]:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if not math.isfinite(objectness):
             raise ValueError(f"objectness must be finite, got {objectness}")
-        return ScoredRecord(image_id=raw[0], class_id=int(raw[1]),
-                            box=_parse_box(raw[2:6]), p_inside=p_inside,
-                            p_surround=p_surround, objectness=objectness)
+        r = ScoredRecord(image_id=raw[0], class_id=int(raw[1]),
+                         box=_parse_box(raw[2:6]), p_inside=p_inside,
+                         p_surround=p_surround, objectness=objectness)
+        if maps is not None:
+            m = maps.get(r.image_id, {}).get(r.class_id)
+            if m is None:
+                raise ValueError(f"no bundle of the corpus has image "
+                                 f"{r.image_id!r} with a map of class {r.class_id}")
+            if not m.contains_box(r.box):
+                raise ValueError(f"box {r.box.as_tuple()} exceeds image "
+                                 f"{r.image_id!r} of {m.width}x{m.height}")
+        return r
 
     return _parse_rows(path, [SCORED_HEADER], parse)
 
@@ -405,13 +422,13 @@ def read_bundle(directory) -> SceneBundle:
     image_id = meta.get("image_id", directory.name)
     if not isinstance(image_id, str):
         failures.append(f"spec.json: image_id must be a string, got {image_id!r}")
+        image_id = None
     width, height = meta.get("width"), meta.get("height")
     bad_dims = [f"spec.json: {name} must be a positive integer, got {v!r}"
                 for name, v in (("width", width), ("height", height))
                 if type(v) is not int or v < 1]
-    if bad_dims:
-        failures += bad_dims
-        width = height = None
+    failures += bad_dims
+    size = None if bad_dims else (width, height)
     map_files = meta.get("map_files", {})
     if not (isinstance(map_files, dict) and all(
             k.isdecimal() and isinstance(f, str) for k, f in map_files.items())):
@@ -432,39 +449,21 @@ def read_bundle(directory) -> SceneBundle:
             continue
         if m.class_id != int(cid_str):
             failures.append(f"{fname}: header class {m.class_id} != spec {cid_str}")
-        elif width and (m.width, m.height) != (width, height):
+        elif size and (m.width, m.height) != size:
             failures.append(f"{fname}: dimensions {m.width}x{m.height} "
                             f"!= spec {width}x{height}")
         else:
             maps[m.class_id] = m
 
-    def load_rows(name, reader):
-        path = directory / name
-        if not path.is_file():
-            return None
+    rows = {}
+    for name, reader in (("gt.csv", read_ground_truth), ("proposals.csv", read_boxes)):
         try:
-            return reader(path)
+            rows[name] = reader(directory / name, size, image_id)
+        except FileNotFoundError:
+            if name == "gt.csv":
+                failures.append("missing gt.csv")
         except ParseError as exc:
             failures.append(str(exc))
-            return None
-
-    gt_records = load_rows("gt.csv", read_ground_truth)
-    if gt_records is None and not (directory / "gt.csv").is_file():
-        failures.append("missing gt.csv")
-        gt_records = []
-    gt_records = gt_records or []
-    for row_idx, r in enumerate(gt_records, start=2):
-        if width and height and (r.box.x1 > width or r.box.y1 > height):
-            failures.append(f"gt.csv row {row_idx}: box {r.box.as_tuple()} "
-                            f"exceeds image {width}x{height}")
-
-    prop_records = load_rows("proposals.csv", read_boxes)
-    if prop_records is not None:
-        for row_idx, r in enumerate(prop_records, start=2):
-            if width and height and (r.box.x1 > width or r.box.y1 > height):
-                failures.append(f"proposals.csv row {row_idx}: box "
-                                f"{r.box.as_tuple()} exceeds image {width}x{height}")
-
     if failures:
         raise BundleValidationError(directory, failures)
     known = KNOWN_BUNDLE_FILES | set(map_files.values())
@@ -473,9 +472,9 @@ def read_bundle(directory) -> SceneBundle:
             warnings.append(f"unknown file ignored: {child.name}")
     return SceneBundle(
         path=str(directory), image_id=image_id, meta=meta, maps=maps,
-        gt=tuple(GtInstance(r.class_id, r.box, r.ignore) for r in gt_records),
-        proposals=(None if prop_records is None else
-                   tuple((r.class_id, r.box, r.score) for r in prop_records)),
+        gt=tuple(GtInstance(r.class_id, r.box, r.ignore) for r in rows["gt.csv"]),
+        proposals=(tuple((r.class_id, r.box, r.score) for r in rows["proposals.csv"])
+                   if "proposals.csv" in rows else None),
         warnings=tuple(warnings))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 
 from .confmap import ConfMap
 from .geometry import Box
+from .io_formats import write_pgm
 
 
 def render_overlay(m: ConfMap, boxes: list[Box]) -> np.ndarray:
@@ -23,7 +24,4 @@ def render_overlay(m: ConfMap, boxes: list[Box]) -> np.ndarray:
 
 
 def write_overlay(m: ConfMap, boxes: list[Box], path) -> None:
-    img = render_overlay(m, boxes)
-    header = f"P5\n{m.width} {m.height}\n255\n".encode("ascii")
-    with open(path, "wb") as f:
-        f.write(header + img.tobytes())
+    write_pgm(render_overlay(m, boxes), path)

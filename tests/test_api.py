@@ -2,11 +2,13 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 import tightbox
 from tightbox.confmap import ConfMap
@@ -33,6 +35,26 @@ def test_every_traced_target_exists():
     missing = [(module, attr) for module, attr, _, _ in load_targets()
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+# (module, function, positional and keyword arguments) of every call that
+# bench/run.py makes into the program directly
+BENCHMARK_CALLS = [
+    ("tightbox.io_formats", "read_bundle", ("corpus/scene_0000",), {}),
+    ("tightbox.io_formats", "read_scored", ("scored.csv",), {}),
+    ("tightbox.scoring", "ScoringConfig", (), {}),
+    ("tightbox.scoring", "score_batch", ("m", "boxes", "cfg"), {}),
+    ("tightbox.scoring", "build_pool", ("scored", "cfg"), {"image_id": "img"}),
+    ("tightbox.synth", "oracle_score", ("m", "box", "cfg"), {}),
+    ("tightbox.geometry", "ring", ("b", 1.2, 512, 512), {}),
+    ("tightbox.cli", "main", (["score", "corpus", "--out", "scored.csv"],), {}),
+]
+
+
+@pytest.mark.parametrize("module,name,args,kwargs", BENCHMARK_CALLS,
+                         ids=[f"{m.split('.')[1]}.{n}" for m, n, _, _ in BENCHMARK_CALLS])
+def test_every_benchmark_call_binds(module, name, args, kwargs):
+    inspect.signature(getattr(importlib.import_module(module), name)).bind(*args, **kwargs)
 
 
 def test_score_batch_builds_its_integral_through_the_module_global(monkeypatch):

@@ -154,9 +154,8 @@ class TestScore:
         assert f"got {ratio}" in capsys.readouterr().err
 
     def test_purity_baseline(self, corpus, tmp_path):
-        # the baseline is ratio-1 scoring under the zero empty-ring policy,
-        # whatever --empty-ring says
-        for extra, pool in (([], []), (["--empty-ring", "skip"], []),
+        # the baseline is ratio-1 scoring under the zero empty-ring policy
+        for extra, pool in (([], []), (["--ratio", "1", "--empty-ring", "zero"], []),
                             (["--pool", "5"], ["--pool", "5"])):
             out = tmp_path / "scored.csv"
             assert run(["score", corpus, "--out", out, "--baseline", "purity",
@@ -168,6 +167,37 @@ class TestScore:
             assert run(["score", corpus, "--out", ratio_one, "--ratio", "1",
                         "--empty-ring", "zero", *pool]) == 0
             assert out.read_bytes() == ratio_one.read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--ratio", "1.5"], ["--ratio", "1.2"],
+                                      ["--empty-ring", "skip"]])
+    def test_purity_baseline_refuses_a_flag_it_would_override(
+            self, corpus, tmp_path, capsys, flag):
+        out = tmp_path / "scored.csv"
+        assert run(["score", corpus, "--out", out, "--baseline", "purity",
+                    *flag]) == 1
+        assert " ".join(flag) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_purity_manifest_records_the_flags_as_given(self, corpus, tmp_path):
+        out = tmp_path / "scored.csv"
+        assert run(["score", corpus, "--out", out, "--baseline", "purity"]) == 0
+        manifest = json.loads((tmp_path / "scored.csv.manifest.json").read_text())
+        assert manifest["config"] == {"baseline": "purity", "empty_ring": "zero",
+                                      "pool": 200, "ratio": 1.2, "top_frac": 0.5}
+
+    def test_bundle_rows_of_another_image_are_a_data_error(self, corpus, tmp_path,
+                                                          capsys):
+        scored = tmp_path / "scored.csv"
+        assert run(["score", corpus, "--out", scored]) == 0
+        for f in (corpus / "scene_0001").glob("*.csv"):
+            f.write_text(f.read_text().replace("scene_0001,", "other_image,"))
+        problem = "image_id 'other_image' is not the bundle's image 'scene_0001'"
+        for argv in (["score", corpus, "--out", tmp_path / "again.csv"],
+                     ["eval", "recall", "--corpus", corpus, "--scored", scored]):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            for name in ("gt.csv", "proposals.csv"):
+                assert f"{name}: line 2: {problem}" in err
 
     def test_manifest_checksums_cover_output(self, corpus, tmp_path):
         out = tmp_path / "scored.csv"
@@ -237,13 +267,13 @@ class TestEval:
     @pytest.mark.parametrize("command", ["recall", "corloc", "map"])
     @pytest.mark.parametrize("row,problem", [
         ("other_scene,1,2,2,9,9,0.5,0.1,0.4",
-         "row 3: no bundle of the corpus has image 'other_scene' with a map "
+         "line 3: no bundle of the corpus has image 'other_scene' with a map "
          "of class 1"),
         ("scene_0001,9,2,2,9,9,0.5,0.1,0.4",
-         "row 3: no bundle of the corpus has image 'scene_0001' with a map "
+         "line 3: no bundle of the corpus has image 'scene_0001' with a map "
          "of class 9"),
         ("scene_0001,10,2,2,9000,9000,0.5,0.1,0.4",
-         "row 3: box (2, 2, 9000, 9000) exceeds image 'scene_0001' of 128x128")],
+         "line 3: box (2, 2, 9000, 9000) exceeds image 'scene_0001' of 128x128")],
         ids=["unknown-image", "class-without-map", "box-outside-image"])
     def test_scored_rows_from_another_corpus_are_a_data_error(
             self, corpus, tmp_path, capsys, command, row, problem):
@@ -255,6 +285,17 @@ class TestEval:
                     "--out", out]) == 2
         assert problem in capsys.readouterr().err
         assert not out.exists()
+
+    def test_blank_line_does_not_shift_named_lines(self, corpus, tmp_path, capsys):
+        scored = self.scored_for(corpus, tmp_path)
+        lines = scored.read_text().splitlines()
+        scored.write_text("\n".join(
+            lines[:2] + ["", "scene_0001,10,2,2,9000,9000,0.5,0.1,0.4"]
+            + lines[2:4] + ["other_scene,1,2,2,9,9,0.5,0.1,0.4"] + lines[4:]) + "\n")
+        assert run(["eval", "recall", "--corpus", corpus, "--scored", scored]) == 2
+        assert ("line 4: box (2, 2, 9000, 9000) exceeds image 'scene_0001' of "
+                "128x128; line 7: no bundle of the corpus has image "
+                "'other_scene' with a map of class 1") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["recall", "corloc", "map"])
     def test_invalid_scored_numbers_are_a_data_error(
@@ -383,6 +424,24 @@ class TestExitCodes:
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert run(["score", tmp_path / "nowhere",
                     "--out", tmp_path / "s.csv"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        lambda corpus, path: ["score", corpus, "--out", path],
+        lambda corpus, path: ["eval", "recall", "--corpus", corpus,
+                              "--scored", path],
+        lambda corpus, path: ["overlay", "--map", path, "--boxes",
+                              corpus / "scene_0000" / "proposals.csv",
+                              "--out", corpus / "o.pgm"],
+        lambda corpus, path: ["synth", "--out", path / "taken"]],
+        ids=["score-out-dir", "eval-scored-dir", "overlay-map-dir",
+             "synth-out-existing-file"])
+    def test_unusable_path_is_data_error_naming_it(self, corpus, tmp_path,
+                                                   capsys, argv):
+        path = tmp_path / "dir"
+        path.mkdir()
+        (path / "taken").write_text("")
+        assert run(argv(corpus, path)) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

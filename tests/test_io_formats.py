@@ -12,9 +12,9 @@ from tightbox.io_formats import (BoxRecord, GtRecord, ScoredRecord,
                                  read_boxes, read_bundle, read_confmap,
                                  read_corpus, read_ground_truth, read_mask,
                                  read_scored, write_boxes, write_bundle,
-                                 write_confmap, write_confmap_pgm,
-                                 write_confmap_raw, write_ground_truth,
-                                 write_json, write_mask, write_scored)
+                                 write_confmap_pgm, write_confmap_raw,
+                                 write_ground_truth, write_json, write_mask,
+                                 write_pgm, write_scored)
 from tightbox.pseudomask import IGNORE, PseudoMask
 
 
@@ -125,12 +125,27 @@ class TestPgmFormat:
         with pytest.raises(MalformedFileError):
             read_confmap(path)
 
-    def test_extension_dispatch(self, tmp_path):
-        m = ConfMap(class_id=0, values=np.full((2, 2), 0.5))
-        write_confmap(m, tmp_path / "a.pgm")
-        write_confmap(m, tmp_path / "a.tscf")
-        assert (tmp_path / "a.pgm").read_bytes()[:2] == b"P5"
-        assert (tmp_path / "a.tscf").read_bytes()[:4] == b"TSCF"
+    @pytest.mark.parametrize("dtype,maxval", [("u1", 255), (">u2", 65535)])
+    def test_write_pgm_round_trip(self, tmp_path, dtype, maxval):
+        rng = np.random.default_rng(86)
+        codes = rng.integers(0, maxval + 1, size=(3, 5)).astype(dtype)
+        path = tmp_path / "codes.pgm"
+        write_pgm(codes, path)
+        assert path.read_bytes() == (f"P5\n5 3\n{maxval}\n".encode()
+                                     + codes.tobytes())
+        back = read_confmap(path, class_id=2)
+        assert back.class_id == 2
+        assert np.array_equal(back.values, (codes / maxval).astype(np.float32))
+        if maxval == 255:
+            assert np.array_equal(read_mask(path).labels, codes)
+        else:
+            with pytest.raises(MalformedFileError, match="maxval 255"):
+                read_mask(path)
+
+    def test_write_pgm_rejects_other_dtypes(self, tmp_path):
+        with pytest.raises(ValueError, match="<u2"):
+            write_pgm(np.zeros((2, 2), dtype="<u2"), tmp_path / "m.pgm")
+        assert not (tmp_path / "m.pgm").exists()
 
 
 class TestMaskFiles:
@@ -240,6 +255,23 @@ class TestScoredCsv:
             read_scored(path)
         assert err.value.failures == [(3, problem)]
 
+    def test_rows_checked_against_maps_by_file_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("image_id,class_id,x0,y0,x1,y1,p_inside,p_surround,objectness\n"
+                        "a,1,0,0,2,2,0.5,0.25,0.25\n"
+                        "\n"
+                        "a,1,0,0,9,2,0.5,0.25,0.25\n"
+                        "a,2,0,0,2,2,0.5,0.25,0.25\n"
+                        "b,1,0,0,2,2,0.5,0.25,0.25\n")
+        maps = {"a": {1: ConfMap(class_id=1, values=np.zeros((4, 4)))}}
+        assert len(read_scored(path)) == 4
+        with pytest.raises(ParseError) as err:
+            read_scored(path, maps=maps)
+        assert err.value.failures == [
+            (4, "box (0, 0, 9, 2) exceeds image 'a' of 4x4"),
+            (5, "no bundle of the corpus has image 'a' with a map of class 2"),
+            (6, "no bundle of the corpus has image 'b' with a map of class 1")]
+
 
 class TestBundles:
     def make_bundle(self, tmp_path, with_proposals=True):
@@ -278,7 +310,38 @@ class TestBundles:
                            "scene,1,0,0,20,10,0\n")
         with pytest.raises(BundleValidationError) as exc:
             read_bundle(path)
-        assert any("gt.csv row 2" in f for f in exc.value.failures)
+        assert any("gt.csv: line 2: box (0, 0, 20, 10) exceeds image 16x16" in f
+                   for f in exc.value.failures)
+
+    @pytest.mark.parametrize("name,header,good", [
+        ("gt.csv", "image_id,class_id,x0,y0,x1,y1,ignore_flag", ",0"),
+        ("proposals.csv", "image_id,class_id,x0,y0,x1,y1", "")])
+    def test_bad_rows_named_by_file_line(self, tmp_path, name, header, good):
+        # a blank line 3 must not shift the line numbers of later rows
+        path = self.make_bundle(tmp_path)
+        (path / name).write_text(f"{header}\n"
+                                 f"scene,1,2,2,9,9{good}\n"
+                                 "\n"
+                                 f"scene,1,0,0,20,10{good}\n"
+                                 f"scene,3,4,4,12,12{good}\n"
+                                 f"other_image,3,4,4,12,12{good}\n")
+        with pytest.raises(BundleValidationError) as exc:
+            read_bundle(path)
+        assert exc.value.failures == [
+            f"{path / name}: line 4: box (0, 0, 20, 10) exceeds image 16x16; "
+            f"line 6: image_id 'other_image' is not the bundle's image 'scene'"]
+
+    def test_rows_of_another_image_rejected(self, tmp_path):
+        path = self.make_bundle(tmp_path)
+        for name in ("gt.csv", "proposals.csv"):
+            f = path / name
+            f.write_text(f.read_text().replace("scene,", "other_image,"))
+        with pytest.raises(BundleValidationError) as exc:
+            read_bundle(path)
+        problem = "image_id 'other_image' is not the bundle's image 'scene'"
+        assert exc.value.failures == [
+            f"{path / name}: line 2: {problem}; line 3: {problem}"
+            for name in ("gt.csv", "proposals.csv")]
 
     def test_unknown_extra_file_is_a_warning_not_an_error(self, tmp_path):
         path = self.make_bundle(tmp_path)
