@@ -16,16 +16,18 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .errors import TightboxError
 from .evaluation import (ApMode, GroundTruth, ablation_sweep, corloc,
                          recall_at_k, score_corpus, sweep_configs, voc_ap)
-from .io_formats import (ScoredRecord, read_boxes, read_confmap, read_corpus,
-                         read_scored, write_bundle, write_json, write_mask,
-                         write_scored)
-from .pseudomask import MaskConfig, generate_mask, mask_stats, normalize_cam
+from .io_formats import (MAX_DIMENSION, ScoredRecord, read_boxes, read_confmap,
+                         read_corpus, read_scored, write_bundle, write_json,
+                         write_mask, write_scored)
+from .pseudomask import (IGNORE, MaskConfig, generate_mask, mask_stats,
+                         normalize_cam)
 from .scoring import CandidatePool, EmptyRingPolicy, ScoringConfig
 from .synth import (ProposalCounts, TrapParams, gen_proposals, gen_scene,
                     make_linked_spec, make_trap_spec)
@@ -86,10 +88,15 @@ def cmd_score(args) -> int:
     if purity and args.empty_ring == "skip":
         raise UsageError("--baseline purity scores an empty ring as zero, "
                          "got --empty-ring skip")
+    if purity and args.top_frac is not None:
+        raise UsageError(f"--baseline purity has no ring to average, "
+                         f"got --top-frac {args.top_frac}")
     ratio = ScoringConfig.enlarge_ratio if args.ratio is None else args.ratio
+    top_frac = (ScoringConfig.top_fraction if args.top_frac is None
+                else args.top_frac)
     try:
         cfg = ScoringConfig(enlarge_ratio=1.0 if purity else ratio,
-                            top_fraction=args.top_frac, pool_size=args.pool,
+                            top_fraction=top_frac, pool_size=args.pool,
                             empty_ring_policy=EmptyRingPolicy(args.empty_ring))
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -111,7 +118,7 @@ def cmd_score(args) -> int:
     write_scored(records, out)
     _write_manifest(
         out, "score",
-        {"ratio": ratio, "top_frac": args.top_frac, "pool": args.pool,
+        {"ratio": ratio, "top_frac": top_frac, "pool": args.pool,
          "baseline": args.baseline, "empty_ring": args.empty_ring},
         [args.corpus], [out])
     print(f"scored {len(records)} pooled proposals from {len(bundles)} "
@@ -125,6 +132,10 @@ def cmd_score(args) -> int:
 def cmd_synth(args) -> int:
     if args.scenes < 0:
         raise UsageError(f"--scenes must be >= 0, got {args.scenes}")
+    for flag, size in (("--width", args.width), ("--height", args.height)):
+        if size > MAX_DIMENSION:
+            raise UsageError(f"{flag} must be <= {MAX_DIMENSION} (the largest "
+                             f"map the readers accept), got {size}")
     try:
         params = TrapParams(image_w=args.width, image_h=args.height,
                             noise_sigma=args.noise, blur_radius=args.blur)
@@ -270,13 +281,22 @@ def cmd_mask(args) -> int:
         cfg = MaskConfig(fg_threshold=args.fg_thresh, bg_threshold=args.bg_thresh)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if args.classes is not None and len(args.classes) != len(args.cams):
-        raise UsageError(f"--classes needs one id per cam file "
-                         f"({len(args.cams)} cams, {len(args.classes)} ids)")
+    config = {"fg_thresh": args.fg_thresh, "bg_thresh": args.bg_thresh,
+              "normalize": not args.no_normalize}
+    if args.classes is not None:
+        if len(args.classes) != len(args.cams):
+            raise UsageError(f"--classes needs one id per cam file "
+                             f"({len(args.cams)} cams, {len(args.classes)} ids)")
+        if (len(set(args.classes)) != len(args.classes)
+                or not all(1 <= c < IGNORE for c in args.classes)):
+            raise UsageError(f"--classes needs distinct ids in 1..{IGNORE - 1}, "
+                             f"got {args.classes}")
+        config["classes"] = args.classes
     cams = []
     for idx, cam_path in enumerate(args.cams):
-        cid = args.classes[idx] if args.classes is not None else idx + 1
-        cam = read_confmap(cam_path, class_id=cid)
+        cam = read_confmap(cam_path, class_id=idx + 1)
+        if args.classes is not None:
+            cam = replace(cam, class_id=args.classes[idx])
         if not args.no_normalize:
             cam = normalize_cam(cam)
         cams.append(cam)
@@ -289,11 +309,8 @@ def cmd_mask(args) -> int:
     stats_path = (Path(args.stats) if args.stats
                   else out.with_suffix(out.suffix + ".stats.json"))
     write_json(stats, stats_path)
-    _write_manifest(
-        out, "mask",
-        {"fg_thresh": args.fg_thresh, "bg_thresh": args.bg_thresh,
-         "normalize": not args.no_normalize},
-        list(args.cams) + [args.saliency], [out, stats_path])
+    _write_manifest(out, "mask", config, list(args.cams) + [args.saliency],
+                    [out, stats_path])
     print(f"wrote {out} and {stats_path}")
     return 0
 
@@ -324,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="scored CSV path")
     p.add_argument("--ratio", type=float,
                    help="box enlargement ratio (default 1.2)")
-    p.add_argument("--top-frac", type=float, default=0.5,
+    p.add_argument("--top-frac", type=float,
                    help="conditional-average fraction (default 0.5)")
     p.add_argument("--pool", type=int, default=200,
                    help="candidate pool size per image and class (default 200)")
@@ -386,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cams", nargs="+", required=True,
                    help="activation map files, one per image label")
     p.add_argument("--classes", type=int, nargs="+",
-                   help="class ids per cam file (default: raw-format header, "
-                        "or 1..N for PGM)")
+                   help="distinct class ids in 1..254, one per cam file "
+                        "(default: raw-format header, or 1..N for PGM)")
     p.add_argument("--saliency", required=True)
     p.add_argument("--out", required=True, help="mask PGM path")
     p.add_argument("--stats", help="stats JSON path (default <out>.stats.json)")

@@ -136,8 +136,7 @@ def _ap_from_pr(recall: list[float], precision: list[float], mode: ApMode) -> fl
         mpre[i] = max(mpre[i], mpre[i + 1])
     area = 0.0
     for i in range(1, len(mrec)):
-        if mrec[i] != mrec[i - 1]:
-            area += (mrec[i] - mrec[i - 1]) * mpre[i]
+        area += (mrec[i] - mrec[i - 1]) * mpre[i]
     return area
 
 
@@ -165,12 +164,9 @@ def voc_ap(rows, gts: list[GroundTruth],
     for cid in sorted(npos):
         dets = sorted([d for d in rows if d.class_id == cid],
                       key=lambda d: -d.objectness)
-        if not dets:
-            per_class[cid] = 0.0
-            continue
         matched: set[tuple[str, int]] = set()  # (image_id, instance index)
-        tp, fp = [], []
-        for d in dets:
+        recall, precision = [], []
+        for rank, d in enumerate(dets, start=1):
             instances = gt_index.get((d.image_id, cid), [])
             best_iou, best_idx = 0.0, -1
             for idx, inst in enumerate(instances):
@@ -179,18 +175,8 @@ def voc_ap(rows, gts: list[GroundTruth],
                     best_iou, best_idx = ov, idx
             if best_iou >= IOU_THRESHOLD and (d.image_id, best_idx) not in matched:
                 matched.add((d.image_id, best_idx))
-                tp.append(1)
-                fp.append(0)
-            else:
-                tp.append(0)
-                fp.append(1)
-        recall, precision = [], []
-        ctp = cfp = 0
-        for t, f in zip(tp, fp):
-            ctp += t
-            cfp += f
-            recall.append(ctp / npos[cid])
-            precision.append(ctp / (ctp + cfp))
+            recall.append(len(matched) / npos[cid])
+            precision.append(len(matched) / rank)
         per_class[cid] = _ap_from_pr(recall, precision, mode)
 
     if not per_class:
@@ -305,11 +291,11 @@ def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> Sweep
     ``scenes`` are as for ``score_corpus``, with a gt of GtInstances. The
     corpus is walked once: each (scene, class) map gets one integral and
     one call of the scoring kernel for the whole grid, which gathers each
-    ring once per ratio and yields plain columns. Every cell equals a
-    ``score_corpus`` run at its configuration: the same recall@1 and the
-    same mean objectness, summed in corpus order. Inside the sweep each
-    pool holds only its first entry, the one recall@1 reads, picked with
-    ``build_pool``'s sort key.
+    ring once per ratio (once per fraction on the fallback path) and
+    yields plain columns. Every cell equals a ``score_corpus`` run at its
+    configuration: the same recall@1 and the same mean objectness, summed
+    in corpus order. Inside the sweep each pool holds only its first
+    entry, the one recall@1 reads, picked with ``build_pool``'s sort key.
     """
     cfgs = sweep_configs(ratios, fractions)
     grid = [(i, j, cfg) for i, row in enumerate(cfgs) for j, cfg in enumerate(row)]

@@ -99,12 +99,9 @@ def generate_mask(cams: list[ConfMap], saliency: ConfMap,
         if not 1 <= cid < IGNORE:
             raise ValueError(f"foreground class id must be in 1..{IGNORE - 1}, got {cid}")
 
-    if cams:
-        claims = np.stack([cam.values >= cfg.fg_threshold for cam in cams])
-        n_claims = claims.sum(axis=0)
-    else:
-        claims = np.zeros((0,) + shape, dtype=bool)
-        n_claims = np.zeros(shape, dtype=np.intp)
+    claims = np.array([cam.values >= cfg.fg_threshold for cam in cams],
+                      dtype=bool).reshape((len(cams),) + shape)
+    n_claims = claims.sum(axis=0)
 
     salient = saliency.values > cfg.bg_threshold
 

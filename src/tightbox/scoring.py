@@ -9,9 +9,10 @@ on discriminative object parts.
 
 Both statistics come from one kernel over a grid of enlarge ratios and
 top fractions: box means from the summed-area table (clamped to [0, 1]),
-ring pixels gathered into a scratch buffer once per ratio and reduced by
-an exact top-k mean per fraction. ``score_batch`` calls it with a 1x1
-grid, the ablation sweep with its whole grid.
+ring pixels gathered into a scratch buffer once per ratio (once per
+fraction on the fallback path) and reduced by an exact top-k mean per
+fraction. ``score_batch`` calls it with a 1x1 grid, the ablation sweep
+with its whole grid.
 
 Sharing work across fractions changes the order in which a ring's values
 are added, which in general changes the bits of a float sum. It cannot
@@ -21,8 +22,8 @@ multiples of 2**(e - 23), and a sum of at most n of them is a multiple of
 that step no larger than n, held exactly by float64 while
 n <= 2**(e + 30). A ring within that limit is sorted once and shares
 one segment sum across the grid's fractions; a larger ring (or any ring
-of a map with a subnormal smallest value) falls back to one partition
-per fraction, the arithmetic a 1x1 grid always uses.
+of a map with a subnormal smallest value) falls back to one fresh gather
+and one partition per fraction, the arithmetic a 1x1 grid always uses.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ def _gather_ring(values: np.ndarray, buf: np.ndarray,
 
     Strip order (top, bottom, left, right) is fixed, so the buffer and the
     float sums taken over it are reproducible; the loop is unrolled
-    because this sits on the hot path of every scoring call.
+    because this sits on the hot path of every scoring call. A Box has
+    positive height, so a side strip with w > 0 always holds pixels.
     """
     n = 0
     h = by0 - oy0
@@ -152,28 +154,22 @@ def _gather_ring(values: np.ndarray, buf: np.ndarray,
     w = bx0 - ox0
     if w > 0:
         cnt = (by1 - by0) * w
-        if cnt > 0:
-            buf[n:n + cnt].reshape(by1 - by0, w)[...] = values[by0:by1, ox0:bx0]
-            n += cnt
+        buf[n:n + cnt].reshape(by1 - by0, w)[...] = values[by0:by1, ox0:bx0]
+        n += cnt
     w = ox1 - bx1
     if w > 0:
         cnt = (by1 - by0) * w
-        if cnt > 0:
-            buf[n:n + cnt].reshape(by1 - by0, w)[...] = values[by0:by1, bx1:ox1]
-            n += cnt
+        buf[n:n + cnt].reshape(by1 - by0, w)[...] = values[by0:by1, bx1:ox1]
+        n += cnt
     return n
 
 
-def _topk_mean(buf: np.ndarray, n: int, top_fraction: float,
-               copy: bool = False) -> float:
-    """Mean of the k largest of buf[:n]; partitions the buffer in place
-    unless ``copy`` is set, in which case a copy of it is partitioned."""
+def _topk_mean(buf: np.ndarray, n: int, top_fraction: float) -> float:
+    """Mean of the k largest of buf[:n]; partitions the buffer in place."""
     k = top_k_count(n, top_fraction)
     v = buf[:n]
     if k >= n:
         return float(v.sum(dtype=np.float64) / n)
-    if copy:
-        v = v.copy()
     v.partition(n - k)
     return float(v[n - k:].sum(dtype=np.float64) / k)
 
@@ -223,8 +219,7 @@ def _score_boxes(m: ConfMap, boxes: list[Box], ratios: list[float],
     Returns ``(p_inside, rings)``: one box mean per box, in input order,
     and per ratio a pair ``(sizes, surround)`` where ``sizes`` holds each
     box's ring pixel count and ``surround[j]`` its surround mean at
-    ``fractions[j]`` (0.0 for an empty ring); no boxes or no fractions
-    give empty columns.
+    ``fractions[j]`` (0.0 for an empty ring).
 
     Bounds are checked first, and a ValueError names every box outside
     the map. The map's integral is then built once, through this module's
@@ -238,27 +233,22 @@ def _score_boxes(m: ConfMap, boxes: list[Box], ratios: list[float],
     within it is exact, so no summation order can change a bit, and such
     a ring shares one in-place sort and one segment sum across the
     fractions (``_shared_topk_means``). Other rings, and every ring of a
-    grid with fewer partitioning fractions, take the plain path: largest
-    fraction first, plain means (k = n) read the gathered ring as it is,
-    the others partition a copy, and the smallest fraction partitions the
-    ring in place, so a 1x1 grid copies nothing.
+    grid with fewer partitioning fractions, take the fractions in grid
+    order, and the ring is gathered afresh before each fraction after the
+    first: every cell then works on a freshly gathered ring with
+    ``_topk_mean``, the same arithmetic as a 1x1 grid.
     """
     bad = [i for i, b in enumerate(boxes) if not m.contains_box(b)]
     if bad:
         raise ValueError(f"boxes out of map bounds {m.width}x{m.height} "
                          f"at input positions {bad}")
     t = build_integral(m)
-    if not boxes or not fractions:
-        return [], [([], [[] for _ in fractions]) for _ in ratios]
-    coords = np.array([b.as_tuple() for b in boxes], dtype=np.int64)
+    coords = np.array([b.as_tuple() for b in boxes], dtype=np.int64).reshape(-1, 4)
     x0, y0, x1, y1 = coords.T
     p_in = (t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0]) / ((x1 - x0) * (y1 - y0))
     p_in = np.clip(p_in, 0.0, 1.0).tolist()
 
     values = m.values
-    order = sorted(range(len(fractions)), key=fractions.__getitem__, reverse=True)
-    copied = [(j, fractions[j]) for j in order[:-1]]
-    last, last_frac = order[-1], fractions[order[-1]]
     partitioning = sum(1 for f in fractions if f < 1.0)
     limit = _exact_ring_limit(values) if partitioning >= 2 else 0
     gather = _gather_ring
@@ -281,9 +271,10 @@ def _score_boxes(m: ConfMap, boxes: list[Box], ratios: list[float],
                 for column, ps in zip(surround, shared(buf, n, fractions)):
                     column.append(ps)
             else:
-                for j, frac in copied:
-                    surround[j].append(topk(buf, n, frac, True))
-                surround[last].append(topk(buf, n, last_frac))
+                for j, frac in enumerate(fractions):
+                    if j:
+                        gather(values, buf, *g)
+                    surround[j].append(topk(buf, n, frac))
         rings.append((sizes, surround))
     return p_in, rings
 

@@ -7,7 +7,7 @@ import pytest
 from tightbox.cli import main
 from tightbox.confmap import ConfMap
 from tightbox.geometry import Box, ring
-from tightbox.io_formats import (ScoredRecord, read_corpus,
+from tightbox.io_formats import (MAX_DIMENSION, ScoredRecord, read_corpus,
                                  read_ground_truth, read_mask, read_scored,
                                  write_bundle, write_confmap_raw, write_scored)
 from tightbox.scoring import ScoringConfig, build_pool, score_batch
@@ -55,6 +55,17 @@ class TestSynth:
         out = tmp_path / "corpus"
         assert run(["synth", "--out", out, flag, value]) == 1
         assert f"got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_dimension_the_readers_refuse_is_usage_error(self, tmp_path, capsys,
+                                                         flag):
+        # raised before any scene is rendered, so nothing large is allocated
+        out = tmp_path / "corpus"
+        assert run(["synth", "--out", out, flag, MAX_DIMENSION + 1]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and str(MAX_DIMENSION) in err
+        assert f"got {MAX_DIMENSION + 1}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("extra,size", [
@@ -169,7 +180,9 @@ class TestScore:
             assert out.read_bytes() == ratio_one.read_bytes()
 
     @pytest.mark.parametrize("flag", [["--ratio", "1.5"], ["--ratio", "1.2"],
-                                      ["--empty-ring", "skip"]])
+                                      ["--empty-ring", "skip"],
+                                      ["--top-frac", "0.1"],
+                                      ["--top-frac", "0.5"]])
     def test_purity_baseline_refuses_a_flag_it_would_override(
             self, corpus, tmp_path, capsys, flag):
         out = tmp_path / "scored.csv"
@@ -390,6 +403,35 @@ class TestMask:
                     "--saliency", tmp_path / "sal.tscf", "--out", out,
                     "--no-normalize"]) == 0
         assert np.all(read_mask(out).labels == 0)
+
+    def test_classes_relabel_raw_cams_and_enter_the_manifest(self, tmp_path):
+        self.write_map(tmp_path / "cam.tscf", np.full((4, 4), 0.9), class_id=9)
+        self.write_map(tmp_path / "sal.tscf", np.full((4, 4), 0.5))
+        base = ["mask", "--cams", tmp_path / "cam.tscf",
+                "--saliency", tmp_path / "sal.tscf"]
+        for name, extra, label in (("plain", [], 9), ("five", ["--classes", "5"], 5)):
+            out = tmp_path / f"{name}.pgm"
+            assert run([*base, "--out", out, *extra]) == 0
+            assert np.all(read_mask(out).labels == label)
+        config = {name: json.loads(
+            (tmp_path / f"{name}.pgm.manifest.json").read_text())["config"]
+            for name in ("plain", "five")}
+        assert "classes" not in config["plain"]
+        assert config["five"] == {**config["plain"], "classes": [5]}
+
+    @pytest.mark.parametrize("classes", [["0"], ["255"], ["3", "3"]],
+                             ids=["zero", "ignore-code", "repeated"])
+    def test_bad_classes_is_usage_error(self, tmp_path, capsys, classes):
+        cams = []
+        for i, _ in enumerate(classes):
+            cams.append(tmp_path / f"cam{i}.tscf")
+            self.write_map(cams[-1], np.full((4, 4), 0.9), class_id=i + 1)
+        self.write_map(tmp_path / "sal.tscf", np.full((4, 4), 0.5))
+        out = tmp_path / "mask.pgm"
+        assert run(["mask", "--cams", *cams, "--saliency", tmp_path / "sal.tscf",
+                    "--out", out, "--classes", *classes]) == 1
+        assert "--classes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_mismatch_is_data_error(self, tmp_path):
         self.write_map(tmp_path / "cam.tscf", np.full((4, 4), 0.9), class_id=1)

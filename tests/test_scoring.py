@@ -453,17 +453,23 @@ class TestExactGrid:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), certified=st.booleans(),
-           ratios=GRID_RATIOS, fractions=PARTITIONING, with_one=st.booleans(),
+           ratios=GRID_RATIOS, fractions=PARTITIONING,
+           with_one=st.none() | st.sampled_from(["first", "middle", "last"]),
            policy=st.sampled_from(list(EmptyRingPolicy)))
     @example(seed=0, certified=True, ratios=[1.2, 3.0],
-             fractions=[0.5, 0.51, 0.25], with_one=True,
+             fractions=[0.5, 0.51, 0.25], with_one="last",
              policy=EmptyRingPolicy.SKIP)
     @example(seed=0, certified=False, ratios=[1.2, 3.0],
-             fractions=[0.5, 0.51, 0.25], with_one=True,
+             fractions=[0.5, 0.51, 0.25], with_one="last",
              policy=EmptyRingPolicy.ZERO)
     def test_cells_equal_score_batch(self, seed, certified, ratios, fractions,
                                      with_one, policy):
-        fractions = fractions + [1.0] if with_one else fractions
+        # 1.0 (a plain mean) at the front, middle or end of the grid, so the
+        # fallback cells are checked for independence from fraction order
+        if with_one is not None:
+            at = {"first": 0, "middle": len(fractions) // 2,
+                  "last": len(fractions)}[with_one]
+            fractions = fractions[:at] + [1.0] + fractions[at:]
         m, boxes = small_map_and_boxes(
             seed, certified_values if certified else fallback_values)
         limit = _exact_ring_limit(m.values)
