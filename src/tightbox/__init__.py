@@ -11,8 +11,8 @@ ranking behavior is testable without any trained model.
 __version__ = "0.1.0"
 
 from .confmap import ConfMap, build_integral
-from .errors import (BundleValidationError, EmptyRegionError,
-                     MalformedFileError, ParseError, TightboxError)
+from .errors import (BundleValidationError, MalformedFileError, ParseError,
+                     TightboxError)
 from .evaluation import (ApMode, ApResult, CorLocResult, GroundTruth,
                          GtInstance, RecallCurve, SweepResult, ablation_sweep,
                          corloc, recall_at_k, voc_ap)
@@ -20,21 +20,19 @@ from .geometry import Box, RingRegion, enlarge, iou, ring
 from .pseudomask import (BACKGROUND, IGNORE, MaskConfig, PseudoMask,
                          generate_mask, mask_stats, normalize_cam)
 from .scoring import (CandidatePool, EmptyRingPolicy, ScoredProposal,
-                      ScoringConfig, build_pool, conditional_average,
-                      score_batch)
+                      ScoringConfig, build_pool, score_batch)
 from .synth import (ProposalCounts, ProposalFamily, SceneObject, SceneSpec,
                     TrapParams, gen_proposals, gen_scene, make_linked_spec,
                     make_trap_spec, oracle_score)
 
 __all__ = [
     "ApMode", "ApResult", "BACKGROUND", "Box", "BundleValidationError",
-    "CandidatePool", "ConfMap", "CorLocResult", "EmptyRegionError",
-    "EmptyRingPolicy", "GroundTruth", "GtInstance", "IGNORE",
-    "MalformedFileError", "MaskConfig", "ParseError",
-    "ProposalCounts", "ProposalFamily", "PseudoMask", "RecallCurve",
-    "RingRegion", "SceneObject", "SceneSpec", "ScoredProposal", "ScoringConfig",
-    "SweepResult", "TightboxError", "TrapParams", "ablation_sweep",
-    "build_integral", "build_pool", "conditional_average", "corloc", "enlarge",
+    "CandidatePool", "ConfMap", "CorLocResult", "EmptyRingPolicy",
+    "GroundTruth", "GtInstance", "IGNORE", "MalformedFileError", "MaskConfig",
+    "ParseError", "ProposalCounts", "ProposalFamily", "PseudoMask",
+    "RecallCurve", "RingRegion", "SceneObject", "SceneSpec", "ScoredProposal",
+    "ScoringConfig", "SweepResult", "TightboxError", "TrapParams",
+    "ablation_sweep", "build_integral", "build_pool", "corloc", "enlarge",
     "gen_proposals", "gen_scene", "generate_mask", "iou", "make_linked_spec",
     "make_trap_spec", "mask_stats", "normalize_cam", "oracle_score",
     "recall_at_k", "ring", "score_batch", "voc_ap",

@@ -5,10 +5,6 @@ class TightboxError(Exception):
     """Base class for all package errors."""
 
 
-class EmptyRegionError(TightboxError):
-    """A statistic was requested over a region with no pixels."""
-
-
 class MalformedFileError(TightboxError):
     """A map or mask file could not be decoded.
 

@@ -19,6 +19,16 @@ from .scoring import (CandidatePool, EmptyRingPolicy, ScoringConfig,
 IOU_THRESHOLD = 0.5
 
 
+def _ordered_mean(values) -> float:
+    """Mean of floats added left to right. The builtin ``sum`` compensates
+    its rounding since Python 3.12, which would change a mean's bits
+    between interpreters; this loop gives every version the same bits."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 @dataclass(frozen=True)
 class GtInstance:
     class_id: int
@@ -38,9 +48,6 @@ class RecallCurve:
     recalls: tuple[float, ...]
     upper_bound: float  # best possible recall@1 given one box per (image, class)
     total_instances: int
-
-    def at(self, k: int) -> float:
-        return self.recalls[self.ks.index(k)]
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,7 @@ def corloc(pools: list[CandidatePool], gts: list[GroundTruth]) -> CorLocResult:
                  for cid, imgs in sorted(images_per_class.items())}
     if not per_class:
         raise ValueError("no ground-truth instances")
-    mean = sum(per_class.values()) / len(per_class)
+    mean = _ordered_mean(per_class.values())
     return CorLocResult(per_class=per_class, mean=mean)
 
 
@@ -146,9 +153,11 @@ def voc_ap(rows, gts: list[GroundTruth],
 
     ``rows`` are detections as ``io_formats.read_scored`` returns them,
     sorted by objectness descending (stable, so equal scores keep input
-    order); each matches the highest-IoU unclaimed gt instance in its
-    image, counting as a true positive only at IoU >= 0.5. Classes without
-    gt instances are excluded from the mean and reported in skipped_classes.
+    order); each takes the highest-IoU gt instance in its image and is a
+    true positive only at IoU >= 0.5 with that instance unclaimed. As in
+    the VOC devkit, a claimed best instance makes it a false positive even
+    when another instance it overlaps is free. Classes without gt
+    instances are excluded from the mean and reported in skipped_classes.
     """
     gt_index: dict[tuple[str, int], list[GtInstance]] = {}
     npos: dict[int, int] = {}
@@ -181,7 +190,7 @@ def voc_ap(rows, gts: list[GroundTruth],
 
     if not per_class:
         raise ValueError("no classes with ground-truth instances")
-    mean_ap = sum(per_class.values()) / len(per_class)
+    mean_ap = _ordered_mean(per_class.values())
     return ApResult(per_class=per_class, mean_ap=mean_ap, mode=mode,
                     skipped_classes=skipped)
 
@@ -322,9 +331,8 @@ def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> Sweep
         ratio, frac = cfg.enlarge_ratio, cfg.top_fraction
         curve = recall_at_k(pools[c], gts, [1])
         obj = objectness[c]
-        # the builtin sum over the corpus-order values, as a score_corpus
-        # run's mean is taken
-        mean_obj = sum(obj) / len(obj) if obj else 0.0
+        # the corpus-order values, as a score_corpus run's mean is taken
+        mean_obj = _ordered_mean(obj) if obj else 0.0
         cells.append(SweepCell(
             ratio=ratio, fraction=frac,
             recall_at_1=curve.recalls[0], mean_objectness=mean_obj,

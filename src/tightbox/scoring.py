@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .confmap import ConfMap, build_integral
-from .errors import EmptyRegionError
 from .geometry import Box, check_ratio, enlarge_coords
 
 
@@ -113,21 +112,6 @@ def top_k_count(n: int, top_fraction: float) -> int:
     same expression, so they agree on k even when the product rounds.
     """
     return min(max(math.ceil(top_fraction * n), 1), n)
-
-
-def conditional_average(values, top_fraction: float) -> float:
-    """Mean of the ceil(fraction * N) largest values.
-
-    Equal values contribute equally, so the result does not depend on how
-    ties at the cutoff are ordered. Fraction 1 is a plain mean.
-    """
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction}")
-    # a float64 copy, since _topk_mean partitions its buffer in place
-    buf = np.array(values, dtype=np.float64).reshape(-1)
-    if buf.size == 0:
-        raise EmptyRegionError("conditional average of an empty region")
-    return _topk_mean(buf, buf.size, top_fraction)
 
 
 def _gather_ring(values: np.ndarray, buf: np.ndarray,

@@ -165,4 +165,11 @@ AP_FIXTURES = [
      [det("i2", 1, HIT, 0.9), det("i1", 1, HIT, 0.8)],
      [gt("i1", (1, G))],
      {ApMode.ELEVEN_POINT: (0.5, {1: 0.5}), ApMode.AREA: (0.5, {1: 0.5})}),
+    ("claimed_best_instance_is_fp_though_another_overlaps",
+     # the devkit rule: the second HIT's best instance is G (IoU 1), already
+     # claimed, so it is an FP though it overlaps the free HIT_06 at 2/3;
+     # recall 0.5 at precision 1, then 0.5 at precision 1/2
+     [det("i1", 1, HIT, 0.9), det("i1", 1, HIT, 0.8)],
+     [gt("i1", (1, G), (1, HIT_06))],
+     {ApMode.ELEVEN_POINT: (6 / 11, {1: 6 / 11}), ApMode.AREA: (0.5, {1: 0.5})}),
 ]

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metric_fixtures import (AP_FIXTURES, CORLOC_FIXTURES, RECALL_FIXTURES,
-                             det, gt, pool)
-from tightbox.evaluation import (ApMode, GroundTruth, GtInstance, ablation_sweep,
-                                 corloc, recall_at_k, score_corpus, voc_ap)
+from metric_fixtures import (AP_FIXTURES, CORLOC_FIXTURES, FAR, HIT,
+                             RECALL_FIXTURES, det, gt, pool)
+from tightbox import evaluation
+from tightbox.evaluation import (ApMode, GroundTruth, GtInstance, _ordered_mean,
+                                 ablation_sweep, corloc, recall_at_k,
+                                 score_corpus, voc_ap)
 from tightbox.confmap import ConfMap
 from tightbox.geometry import Box
 from tightbox.scoring import (EmptyRingPolicy, ScoringConfig, _proposals,
@@ -280,8 +283,8 @@ class TestSweepExactness:
             cfg = ScoringConfig(enlarge_ratio=cell.ratio, top_fraction=cell.fraction)
             pools, scored = score_corpus(scenes, cfg)
             assert cell.recall_at_1 == recall_at_k(pools, gts, [1]).recalls[0]
-            assert cell.mean_objectness == (sum(s.objectness for s in scored)
-                                            / len(scored))
+            assert cell.mean_objectness == _ordered_mean(
+                [s.objectness for s in scored])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ratios=RATIOS, fractions=FRACTIONS,
@@ -309,3 +312,63 @@ class TestSweepExactness:
     def test_repeated_table_key_is_rejected(self, ratios, fractions, value):
         with pytest.raises(ValueError, match=f"got {value}"):
             ablation_sweep(tiny_corpus(1), ratios, fractions)
+
+
+class TestOrderedMeans:
+    """CorLoc, mAP and the sweep's mean objectness add left to right.
+
+    Since Python 3.12 the builtin ``sum`` compensates its rounding. Each
+    case shadows ``sum`` in ``tightbox.evaluation`` with ``math.fsum``,
+    which rounds the same way, on inputs where the two orders disagree,
+    so a builtin ``sum`` in any of the three means fails here on every
+    interpreter.
+    """
+
+    @pytest.fixture(autouse=True)
+    def compensated_sum(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "sum", math.fsum, raising=False)
+
+    @staticmethod
+    def order_matters(values):
+        values = list(values)
+        return _ordered_mean(values) != math.fsum(values) / len(values)
+
+    def test_helper_adds_left_to_right(self):
+        assert _ordered_mean([1e16, 1.0, -1e16]) == 0.0
+
+    def test_corloc_mean(self):
+        # class c hits in c of its 10 images: per-class 0.1, 0.2, 0.3
+        pools, gts = [], []
+        for cid in (1, 2, 3):
+            for i in range(10):
+                image_id = f"c{cid}i{i}"
+                pools.append(pool(image_id, cid, [HIT if i < cid else FAR]))
+                gts.append(gt(image_id, (cid, HIT)))
+        result = corloc(pools, gts)
+        assert self.order_matters(result.per_class.values())
+        assert result.mean == _ordered_mean([0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("mode", list(ApMode))
+    def test_map(self, mode):
+        # each class's one instance is hit at rank 5, 6 or 9: AP 1/rank
+        dets, gts = [], []
+        for cid, rank in ((1, 5), (2, 6), (3, 9)):
+            dets += [det("i1", cid, FAR, 0.9 - r / 100) for r in range(1, rank)]
+            dets.append(det("i1", cid, HIT, 0.5))
+            gts.append((cid, HIT))
+        result = voc_ap(dets, [gt("i1", *gts)], mode)
+        aps = list(result.per_class.values())
+        assert aps == pytest.approx([1 / 5, 1 / 6, 1 / 9], abs=1e-12)
+        assert self.order_matters(aps)
+        assert result.mean_ap == _ordered_mean(aps)
+
+    def test_sweep_mean_objectness(self):
+        scenes = tiny_corpus(3)
+        result = ablation_sweep(scenes, [1.2, 1.5], [0.3, 0.5, 1.0])
+        differing = 0
+        for cell in result.cells:
+            cfg = ScoringConfig(enlarge_ratio=cell.ratio, top_fraction=cell.fraction)
+            objs = [s.objectness for s in score_corpus(scenes, cfg)[1]]
+            differing += self.order_matters(objs)
+            assert cell.mean_objectness == _ordered_mean(objs)
+        assert differing

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tightbox.confmap import ConfMap
 from tightbox.geometry import Box, RingRegion, enlarge, iou, ring
+from tightbox.scoring import _score_boxes
 
 
 def pixels_inside(b, w, h):
@@ -16,6 +20,21 @@ def random_box(rng, w, h):
     x1 = int(rng.integers(x0 + 1, w + 1))
     y1 = int(rng.integers(y0 + 1, h + 1))
     return Box(x0, y0, x1, y1)
+
+
+@st.composite
+def image_and_box(draw, max_side=64):
+    """(width, height, box) with the box inside the width x height image."""
+    w = draw(st.integers(1, max_side))
+    h = draw(st.integers(1, max_side))
+    x0 = draw(st.integers(0, w - 1))
+    y0 = draw(st.integers(0, h - 1))
+    return w, h, Box(x0, y0, draw(st.integers(x0 + 1, w)),
+                     draw(st.integers(y0 + 1, h)))
+
+
+RATIOS = st.one_of(st.sampled_from([1.0, 1.2, 1.5, 2.0]),
+                   st.floats(1.0, 1e6, allow_nan=False))
 
 
 class TestBox:
@@ -63,23 +82,26 @@ class TestIou:
             expected = len(pa & pb) / len(pa | pb)
             assert iou(a, b) == pytest.approx(expected, abs=1e-12)
 
-    def test_symmetric_and_bounded(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            a = random_box(rng, 30, 30)
-            b = random_box(rng, 30, 30)
-            v = iou(a, b)
-            assert v == iou(b, a)
-            assert 0.0 <= v <= 1.0
-            assert iou(a, a) == 1.0
+    @settings(max_examples=300, deadline=None)
+    @given(a=image_and_box(), b=image_and_box())
+    def test_symmetric_and_bounded(self, a, b):
+        a, b = a[2], b[2]
+        v = iou(a, b)
+        assert v == iou(b, a)
+        assert 0.0 <= v <= 1.0
+        assert iou(a, a) == 1.0
 
 
 class TestEnlarge:
     def test_scales_about_center(self):
         assert enlarge(Box(10, 10, 30, 50), 1.2, 100, 100) == Box(8, 6, 32, 54)
 
-    def test_identity_ratio(self):
-        assert enlarge(Box(10, 10, 30, 50), 1.0, 100, 100) == Box(10, 10, 30, 50)
+    @settings(max_examples=200, deadline=None)
+    @given(wh_box=image_and_box())
+    @example(wh_box=(100, 100, Box(10, 10, 30, 50)))
+    def test_identity_ratio(self, wh_box):
+        w, h, b = wh_box
+        assert enlarge(b, 1.0, w, h) == b
 
     def test_clips_to_image(self):
         assert enlarge(Box(0, 0, 20, 40), 1.2, 100, 100) == Box(0, 0, 22, 44)
@@ -97,14 +119,13 @@ class TestEnlarge:
         with pytest.raises(ValueError):
             enlarge(Box(10, 10, 120, 20), 1.2, 100, 100)
 
-    def test_always_contains_original_and_stays_in_image(self):
-        rng = np.random.default_rng(13)
-        for _ in range(300):
-            b = random_box(rng, 64, 48)
-            r = float(rng.uniform(1.0, 2.0))
-            e = enlarge(b, r, 64, 48)
-            assert e.contains(b)
-            assert e.x0 >= 0 and e.y0 >= 0 and e.x1 <= 64 and e.y1 <= 48
+    @settings(max_examples=300, deadline=None)
+    @given(wh_box=image_and_box(), ratio=RATIOS)
+    def test_always_contains_original_and_stays_in_image(self, wh_box, ratio):
+        w, h, b = wh_box
+        e = enlarge(b, ratio, w, h)
+        assert e.contains(b)
+        assert Box(0, 0, w, h).contains(e)
 
     def test_monotone_in_ratio(self):
         rng = np.random.default_rng(14)
@@ -136,6 +157,16 @@ class TestRing:
             r = ring(b, float(rng.uniform(1.0, 1.8)), 40, 40)
             enumerated = pixels_inside(r.outer, 40, 40) - pixels_inside(r.inner, 40, 40)
             assert r.pixel_count == len(enumerated)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wh_box=image_and_box(max_side=40), ratio=RATIOS)
+    def test_count_is_area_difference_and_the_kernels_ring_size(self, wh_box, ratio):
+        w, h, b = wh_box
+        r = ring(b, ratio, w, h)
+        assert r.pixel_count == r.outer.area - r.inner.area >= 0
+        m = ConfMap(class_id=1, values=np.zeros((h, w)))
+        _, [(sizes, _)] = _score_boxes(m, [b], [ratio], [0.5])
+        assert sizes == [r.pixel_count]
 
     def test_inner_must_be_contained(self):
         with pytest.raises(ValueError):
