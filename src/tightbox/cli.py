@@ -23,9 +23,9 @@ from . import __version__
 from .errors import TightboxError
 from .evaluation import (ApMode, GroundTruth, ablation_sweep, corloc,
                          recall_at_k, score_corpus, sweep_configs, voc_ap)
-from .io_formats import (MAX_DIMENSION, ScoredRecord, read_boxes, read_confmap,
-                         read_corpus, read_scored, write_bundle, write_json,
-                         write_mask, write_scored)
+from .io_formats import (MAX_DIMENSION, SceneBundle, ScoredRecord, read_boxes,
+                         read_confmap, read_corpus, read_scored, write_bundle,
+                         write_json, write_mask, write_scored)
 from .pseudomask import (IGNORE, MaskConfig, generate_mask, mask_stats,
                          normalize_cam)
 from .scoring import CandidatePool, EmptyRingPolicy, ScoringConfig
@@ -81,30 +81,25 @@ def _number_list(text: str, kind=float) -> list:
 # ---------------------------------------------------------------------------
 # score
 
+def _read_scorable_corpus(path) -> list[SceneBundle]:
+    """The corpus's bundles; each must hold a proposals.csv to score."""
+    bundles = read_corpus(path)
+    missing = [b.path for b in bundles if b.proposals is None]
+    if missing:
+        raise TightboxError(f"no proposals.csv to score in {', '.join(missing)}")
+    return bundles
+
+
 def cmd_score(args) -> int:
-    purity = args.baseline == "purity"
-    if purity and args.ratio not in (None, 1.0):
-        raise UsageError(f"--baseline purity scores at ratio 1, got --ratio {args.ratio}")
-    if purity and args.empty_ring == "skip":
-        raise UsageError("--baseline purity scores an empty ring as zero, "
-                         "got --empty-ring skip")
-    if purity and args.top_frac is not None:
-        raise UsageError(f"--baseline purity has no ring to average, "
-                         f"got --top-frac {args.top_frac}")
-    ratio = ScoringConfig.enlarge_ratio if args.ratio is None else args.ratio
-    top_frac = (ScoringConfig.top_fraction if args.top_frac is None
-                else args.top_frac)
     try:
-        cfg = ScoringConfig(enlarge_ratio=1.0 if purity else ratio,
-                            top_fraction=top_frac, pool_size=args.pool,
+        cfg = ScoringConfig(enlarge_ratio=args.ratio, top_fraction=args.top_frac,
+                            pool_size=args.pool,
                             empty_ring_policy=EmptyRingPolicy(args.empty_ring))
     except ValueError as exc:
         raise UsageError(str(exc))
-    bundles = read_corpus(args.corpus)
+    bundles = _read_scorable_corpus(args.corpus)
     records = []
     for bundle in bundles:
-        if bundle.proposals is None:
-            raise TightboxError(f"{bundle.path}: no proposals.csv to score")
         # one bundle's pools come in ascending class-id order
         pools, _ = score_corpus([bundle], cfg)
         for pool in pools:
@@ -118,8 +113,8 @@ def cmd_score(args) -> int:
     write_scored(records, out)
     _write_manifest(
         out, "score",
-        {"ratio": ratio, "top_frac": top_frac, "pool": args.pool,
-         "baseline": args.baseline, "empty_ring": args.empty_ring},
+        {"ratio": args.ratio, "top_frac": args.top_frac, "pool": args.pool,
+         "empty_ring": args.empty_ring},
         [args.corpus], [out])
     print(f"scored {len(records)} pooled proposals from {len(bundles)} "
           f"scene(s) -> {out}")
@@ -262,12 +257,7 @@ def cmd_eval_sweep(args) -> int:
         sweep_configs(ratios, fracs)
     except ValueError as exc:
         raise UsageError(str(exc))
-    bundles = read_corpus(args.corpus)
-    for b in bundles:
-        if b.proposals is None:
-            raise TightboxError(f"{b.path}: no proposals.csv; the sweep scores "
-                                f"proposals itself")
-    result = ablation_sweep(bundles, ratios, fracs)
+    result = ablation_sweep(_read_scorable_corpus(args.corpus), ratios, fracs)
     _emit_result(args, "sweep", result.to_table(), [args.corpus],
                  {"ratios": args.ratios, "fracs": args.fracs}, result.report())
     return 0
@@ -339,16 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="rank a corpus's proposals per class")
     p.add_argument("corpus", help="scene bundle or corpus directory")
     p.add_argument("--out", required=True, help="scored CSV path")
-    p.add_argument("--ratio", type=float,
-                   help="box enlargement ratio (default 1.2)")
-    p.add_argument("--top-frac", type=float,
+    p.add_argument("--ratio", type=float, default=ScoringConfig.enlarge_ratio,
+                   help="box enlargement ratio (default 1.2); 1 leaves the ring "
+                        "empty and scores the inside-only baseline")
+    p.add_argument("--top-frac", type=float, default=ScoringConfig.top_fraction,
                    help="conditional-average fraction (default 0.5)")
     p.add_argument("--pool", type=int, default=200,
                    help="candidate pool size per image and class (default 200)")
-    p.add_argument("--baseline", choices=["objectness", "purity"],
-                   default="objectness",
-                   help="'purity' ranks by inside confidence only: it scores "
-                        "at ratio 1, where the ring is empty")
     p.add_argument("--empty-ring", choices=["zero", "skip"], default="zero")
     p.set_defaults(func=cmd_score)
 

@@ -16,6 +16,7 @@ partial data.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import struct
@@ -201,19 +202,24 @@ def _fmt(x: float) -> str:
 
 
 def _parse_rows(path, expected_headers, parse_row):
-    """Shared all-or-nothing CSV scaffold; collects every row failure."""
-    path = Path(path)
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
+    """Shared all-or-nothing UTF-8 CSV scaffold; collects every row failure."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, [(data.count(b"\n", 0, exc.start) + 1,
+                                 f"byte {data[exc.start]:#04x} at offset "
+                                 f"{exc.start} is not UTF-8 text")])
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, failures = [], []
+    try:
+        header = next(reader, None)
+        if header is None:
             raise ParseError(path, [(1, "missing header row")])
         header = [h.strip() for h in header]
         if header not in expected_headers:
             raise ParseError(path, [(1, f"bad header {header}, expected one of "
                                         f"{expected_headers}")])
-        rows, failures = [], []
         for lineno, raw in enumerate(reader, start=2):
             if not raw:
                 continue
@@ -221,9 +227,22 @@ def _parse_rows(path, expected_headers, parse_row):
                 rows.append(parse_row(header, raw))
             except (ValueError, IndexError) as exc:
                 failures.append((lineno, str(exc)))
+    except csv.Error as exc:
+        failures.append((reader.line_num, str(exc)))
     if failures:
         raise ParseError(path, failures)
     return rows
+
+
+def _write_rows(path, header: list[str], rows) -> None:
+    """UTF-8 CSV; a row whose image_id holds "\\r" is quoted whole, as minimal
+    quoting looks only for the "\\n" terminator and the reader would split it."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        plain = csv.writer(f, lineterminator="\n")
+        quoted = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow(header)
+        for row in rows:
+            (quoted if "\r" in row[0] else plain).writerow(row)
 
 
 def _parse_box(fields: list[str]) -> Box:
@@ -258,14 +277,10 @@ def read_boxes(path, size=None, image_id=None) -> list[BoxRecord]:
 
 def write_boxes(records: list[BoxRecord], path) -> None:
     has_scores = any(r.score is not None for r in records)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(BOX_HEADER + ["score"] if has_scores else list(BOX_HEADER))
-        for r in records:
-            row = [r.image_id, r.class_id, *r.box.as_tuple()]
-            if has_scores:
-                row.append(_fmt(r.score if r.score is not None else 0.0))
-            w.writerow(row)
+    _write_rows(path, BOX_HEADER + ["score"] if has_scores else BOX_HEADER, (
+        [r.image_id, r.class_id, *r.box.as_tuple()]
+        + ([_fmt(r.score if r.score is not None else 0.0)] if has_scores else [])
+        for r in records))
 
 
 def read_ground_truth(path, size=None, image_id=None) -> list[GtRecord]:
@@ -284,11 +299,8 @@ def read_ground_truth(path, size=None, image_id=None) -> list[GtRecord]:
 
 
 def write_ground_truth(records: list[GtRecord], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(GT_HEADER)
-        for r in records:
-            w.writerow([r.image_id, r.class_id, *r.box.as_tuple(), int(r.ignore)])
+    _write_rows(path, GT_HEADER, ([r.image_id, r.class_id, *r.box.as_tuple(),
+                                   int(r.ignore)] for r in records))
 
 
 def read_scored(path, maps=None) -> list[ScoredRecord]:
@@ -324,12 +336,10 @@ def read_scored(path, maps=None) -> list[ScoredRecord]:
 def write_scored(records: list[ScoredRecord], path) -> None:
     """Scored-proposal CSV at 9 significant digits, rows as given (callers
     are responsible for a deterministic order)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(SCORED_HEADER)
-        for r in records:
-            w.writerow([r.image_id, r.class_id, *r.box.as_tuple(),
-                        _fmt(r.p_inside), _fmt(r.p_surround), _fmt(r.objectness)])
+    _write_rows(path, SCORED_HEADER, (
+        [r.image_id, r.class_id, *r.box.as_tuple(),
+         _fmt(r.p_inside), _fmt(r.p_surround), _fmt(r.objectness)]
+        for r in records))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +420,8 @@ def read_bundle(directory) -> SceneBundle:
     if not spec_path.is_file():
         raise BundleValidationError(directory, ["missing spec.json"])
     try:
-        meta = json.loads(spec_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        meta = json.loads(spec_path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BundleValidationError(directory, [f"spec.json unreadable: {exc}"])
     if not isinstance(meta, dict):
         raise BundleValidationError(directory, [

@@ -1,10 +1,12 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tightbox.cli import main
+from tightbox.cli import build_parser, main
 from tightbox.confmap import ConfMap
 from tightbox.geometry import Box, ring
 from tightbox.io_formats import (MAX_DIMENSION, ScoredRecord, read_corpus,
@@ -165,38 +167,34 @@ class TestScore:
         assert f"got {ratio}" in capsys.readouterr().err
 
     def test_purity_baseline(self, corpus, tmp_path):
-        # the baseline is ratio-1 scoring under the zero empty-ring policy
-        for extra, pool in (([], []), (["--ratio", "1", "--empty-ring", "zero"], []),
-                            (["--pool", "5"], ["--pool", "5"])):
+        # README's inside-only baseline, --ratio 1, is ratio-1 scoring under
+        # the zero empty-ring policy, with or without a pool size
+        for pool in ([], ["--pool", "5"]):
             out = tmp_path / "scored.csv"
-            assert run(["score", corpus, "--out", out, "--baseline", "purity",
-                        *extra]) == 0
+            assert run(["score", corpus, "--out", out, "--ratio", "1", *pool]) == 0
             for r in read_scored(out):
                 assert r.p_surround == 0.0
                 assert r.objectness == r.p_inside
-            ratio_one = tmp_path / "ratio1.csv"
-            assert run(["score", corpus, "--out", ratio_one, "--ratio", "1",
+            zero = tmp_path / "zero.csv"
+            assert run(["score", corpus, "--out", zero, "--ratio", "1",
                         "--empty-ring", "zero", *pool]) == 0
-            assert out.read_bytes() == ratio_one.read_bytes()
-
-    @pytest.mark.parametrize("flag", [["--ratio", "1.5"], ["--ratio", "1.2"],
-                                      ["--empty-ring", "skip"],
-                                      ["--top-frac", "0.1"],
-                                      ["--top-frac", "0.5"]])
-    def test_purity_baseline_refuses_a_flag_it_would_override(
-            self, corpus, tmp_path, capsys, flag):
-        out = tmp_path / "scored.csv"
-        assert run(["score", corpus, "--out", out, "--baseline", "purity",
-                    *flag]) == 1
-        assert " ".join(flag) in capsys.readouterr().err
-        assert not out.exists()
+            assert out.read_bytes() == zero.read_bytes()
 
     def test_purity_manifest_records_the_flags_as_given(self, corpus, tmp_path):
         out = tmp_path / "scored.csv"
-        assert run(["score", corpus, "--out", out, "--baseline", "purity"]) == 0
+        assert run(["score", corpus, "--out", out, "--ratio", "1"]) == 0
         manifest = json.loads((tmp_path / "scored.csv.manifest.json").read_text())
-        assert manifest["config"] == {"baseline": "purity", "empty_ring": "zero",
-                                      "pool": 200, "ratio": 1.2, "top_frac": 0.5}
+        assert manifest["config"] == {"empty_ring": "zero", "pool": 200,
+                                      "ratio": 1.0, "top_frac": 0.5}
+
+    def test_baseline_flag_is_a_usage_error(self, corpus, tmp_path, capsys):
+        # the inside-only baseline is --ratio 1, not a mode of its own
+        out = tmp_path / "scored.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["score", corpus, "--out", out, "--baseline", "purity"])
+        assert exc.value.code == 1
+        assert "--baseline" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bundle_rows_of_another_image_are_a_data_error(self, corpus, tmp_path,
                                                           capsys):
@@ -235,6 +233,33 @@ class TestScore:
         maps = {1: ConfMap(class_id=1, values=rng.random((8, 8)))}
         write_bundle(tmp_path / "b", "b", maps, [(1, Box(1, 1, 5, 5))])
         assert run(["score", tmp_path / "b", "--out", tmp_path / "s.csv"]) == 2
+
+    @pytest.mark.parametrize("command", [
+        lambda corpus, out: ["score", corpus, "--out", out],
+        lambda corpus, out: ["eval", "sweep", "--corpus", corpus,
+                             "--out", out]], ids=["score", "sweep"])
+    def test_bundle_without_proposals_is_a_data_error_naming_it(
+            self, corpus, tmp_path, capsys, command):
+        (corpus / "scene_0001" / "proposals.csv").unlink()
+        out_dir = tmp_path / "out"
+        assert run(command(corpus, out_dir / "result")) == 2
+        err = capsys.readouterr().err
+        assert f"no proposals.csv to score in {corpus / 'scene_0001'}" in err
+        assert "scene_0000" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name", ["proposals.csv", "gt.csv", "spec.json"])
+    def test_undecodable_bundle_file_is_a_data_error_naming_it(
+            self, corpus, tmp_path, capsys, name):
+        path = corpus / "scene_0001" / name
+        data = path.read_bytes()
+        path.write_bytes(data[:30] + b"\xff" + data[31:])
+        out = tmp_path / "scored.csv"
+        assert run(["score", corpus, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert str(corpus / "scene_0001") in err and name in err
+        assert "0xff" in err
+        assert not out.exists()
 
 
 class TestEval:
@@ -298,6 +323,17 @@ class TestEval:
                     "--out", out]) == 2
         assert problem in capsys.readouterr().err
         assert not out.exists()
+
+    def test_undecodable_scored_file_is_a_data_error_naming_it(
+            self, corpus, tmp_path, capsys):
+        scored = self.scored_for(corpus, tmp_path)
+        text = scored.read_bytes().split(b"\n")
+        text[2] = text[2].replace(b"scene_", b"scene\xff", 1)
+        scored.write_bytes(b"\n".join(text))
+        assert run(["eval", "recall", "--corpus", corpus,
+                    "--scored", scored]) == 2
+        assert f"{scored}: line 3: byte 0xff at offset" \
+            in capsys.readouterr().err
 
     def test_blank_line_does_not_shift_named_lines(self, corpus, tmp_path, capsys):
         scored = self.scored_for(corpus, tmp_path)
@@ -489,6 +525,24 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["--version"])
         assert exc.value.code == 0
+
+
+def readme_cli_commands():
+    """Every ``tightbox ...`` command of README's CLI block, continuation
+    lines joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("tightbox ")]
+
+
+def test_readme_cli_commands_parse():
+    commands = readme_cli_commands()
+    assert len(commands) == 9
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits 1 on a flag or choice it lacks
 
 
 class TestPipelineDeterminism:
