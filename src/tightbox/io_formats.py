@@ -205,12 +205,14 @@ def _parse_rows(path, expected_headers, parse_row):
     """Shared all-or-nothing UTF-8 CSV scaffold; collects every row failure."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(path, [(data.count(b"\n", 0, exc.start) + 1,
                                  f"byte {data[exc.start]:#04x} at offset "
                                  f"{exc.start} is not UTF-8 text")])
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # decoded as read, so the text is never held whole beside the bytes
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                         newline=""))
     rows, failures = [], []
     try:
         header = next(reader, None)
@@ -220,13 +222,14 @@ def _parse_rows(path, expected_headers, parse_row):
         if header not in expected_headers:
             raise ParseError(path, [(1, f"bad header {header}, expected one of "
                                         f"{expected_headers}")])
-        for lineno, raw in enumerate(reader, start=2):
+        for raw in reader:
             if not raw:
                 continue
             try:
                 rows.append(parse_row(header, raw))
             except (ValueError, IndexError) as exc:
-                failures.append((lineno, str(exc)))
+                # the line the row ends on; a quoted field may span lines
+                failures.append((reader.line_num, str(exc)))
     except csv.Error as exc:
         failures.append((reader.line_num, str(exc)))
     if failures:
@@ -235,8 +238,7 @@ def _parse_rows(path, expected_headers, parse_row):
 
 
 def _write_rows(path, header: list[str], rows) -> None:
-    """UTF-8 CSV; a row whose image_id holds "\\r" is quoted whole, as minimal
-    quoting looks only for the "\\n" terminator and the reader would split it."""
+    """UTF-8 CSV; an image_id with "\\r" has its row quoted, or the reader splits it."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         plain = csv.writer(f, lineterminator="\n")
         quoted = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_ALL)

@@ -527,18 +527,13 @@ class TestExitCodes:
         assert exc.value.code == 0
 
 
-def readme_cli_commands():
-    """Every ``tightbox ...`` command of README's CLI block, continuation
-    lines joined."""
+def test_readme_cli_commands_parse():
+    # every `tightbox ...` command of README's CLI block, continuations joined
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
-    lines = block.replace("\\\n", " ").splitlines()
-    return [shlex.split(line)[1:] for line in lines
-            if line.startswith("tightbox ")]
-
-
-def test_readme_cli_commands_parse():
-    commands = readme_cli_commands()
+    commands = [shlex.split(line)[1:]
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("tightbox ")]
     assert len(commands) == 9
     parser = build_parser()
     for argv in commands:

@@ -201,6 +201,14 @@ class TestBoxCsv:
             read_boxes(path)
         assert [n for n, _ in exc.value.failures] == [2, 3, 4]
 
+    def test_quoted_newline_does_not_shift_named_lines(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text('image_id,class_id,x0,y0,x1,y1\n"a\nb",1,0,0,2,2\n'
+                        "i,1,5,5,2,2\n")
+        with pytest.raises(ParseError) as exc:
+            read_boxes(path)
+        assert [n for n, _ in exc.value.failures] == [4]
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("img1,1,0,0,4,4\n")
