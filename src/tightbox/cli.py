@@ -98,16 +98,10 @@ def cmd_score(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     bundles = _read_scorable_corpus(args.corpus)
-    records = []
-    for bundle in bundles:
-        # one bundle's pools come in ascending class-id order
-        pools, _ = score_corpus([bundle], cfg)
-        for pool in pools:
-            for s in pool.entries:
-                records.append(ScoredRecord(
-                    image_id=pool.image_id, class_id=pool.class_id, box=s.box,
-                    p_inside=s.p_inside, p_surround=s.p_surround,
-                    objectness=s.objectness))
+    records = [ScoredRecord(image_id=pool.image_id, class_id=pool.class_id,
+                            box=s.box, p_inside=s.p_inside,
+                            p_surround=s.p_surround, objectness=s.objectness)
+               for pool in score_corpus(bundles, cfg) for s in pool.entries]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_scored(records, out)

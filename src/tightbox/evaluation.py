@@ -8,13 +8,13 @@ ground-truth instance claimable at most once.
 from __future__ import annotations
 
 import enum
-from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import Box, iou
-from .scoring import (CandidatePool, EmptyRingPolicy, ScoringConfig,
-                      _pool_rank, _proposals, _score_boxes, build_pool,
-                      score_batch)
+from .scoring import (CandidatePool, ScoredProposal, ScoringConfig,
+                      _score_boxes, build_pool, score_batch)
 
 IOU_THRESHOLD = 0.5
 
@@ -253,24 +253,18 @@ def _class_maps(scene):
         yield cid, scene.maps[cid], by_class[cid]
 
 
-def score_corpus(scenes, cfg: ScoringConfig) -> tuple[list[CandidatePool], list]:
+def score_corpus(scenes, cfg: ScoringConfig) -> list[CandidatePool]:
     """Score every scene's proposals per class with ``score_batch`` and
-    build candidate pools.
+    build their candidate pools, scenes in order, class ids ascending.
 
     ``scenes`` is an iterable with image_id, maps (class_id -> ConfMap)
     and proposals [(class_id, Box, ...)] attributes, e.g. loaded scene
-    bundles. Returns (pools, all scored proposals). The inside-only
-    baseline is ``cfg`` at enlarge ratio 1 under the ZERO empty-ring
-    policy: every ring is empty, so objectness is the box mean.
+    bundles. The inside-only baseline is ``cfg`` at enlarge ratio 1
+    under the ZERO empty-ring policy: every ring is empty, so objectness
+    is the box mean.
     """
-    pools = []
-    all_scored = []
-    for scene in scenes:
-        for cid, m, boxes in _class_maps(scene):
-            scored = score_batch(m, boxes, cfg)
-            pools.append(build_pool(scored, cfg, image_id=scene.image_id))
-            all_scored.extend(scored)
-    return pools, all_scored
+    return [build_pool(score_batch(m, boxes, cfg), cfg, image_id=scene.image_id)
+            for scene in scenes for _, m, boxes in _class_maps(scene)]
 
 
 def sweep_configs(ratios: list[float],
@@ -301,42 +295,49 @@ def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> Sweep
     corpus is walked once: each (scene, class) map gets one integral and
     one call of the scoring kernel for the whole grid, which gathers each
     ring once per ratio (once per fraction on the fallback path) and
-    yields plain columns. Every cell equals a ``score_corpus`` run at its
+    returns arrays, the whole grid's objectness being ``p_in[:, None] -
+    surround``. Every cell equals a ``score_corpus`` run at its
     configuration: the same recall@1 and the same mean objectness, summed
     in corpus order. Inside the sweep each pool holds only its first
-    entry, the one recall@1 reads, picked with ``build_pool``'s sort key.
+    entry, the one recall@1 reads: per cell one masked argmax picks the
+    highest objectness, then the highest p_inside, then the first input
+    position, which is ``build_pool``'s order.
     """
     cfgs = sweep_configs(ratios, fractions)
-    grid = [(i, j, cfg) for i, row in enumerate(cfgs) for j, cfg in enumerate(row)]
-    pools = [[] for _ in grid]
-    objectness = [array("d") for _ in grid]
+    pools = [[[] for _ in fractions] for _ in ratios]
+    objectness = [np.empty((len(ratios), 0, len(fractions)))]
     gts = []
     for scene in scenes:
         gts.append(GroundTruth(image_id=scene.image_id, entries=tuple(scene.gt)))
         for _, m, boxes in _class_maps(scene):
-            p_in, rings = _score_boxes(m, boxes, ratios, fractions)
-            for c, (i, j, _) in enumerate(grid):
-                sizes, surround = rings[i][0], rings[i][1][j]
-                obj = [pi - ps for pi, ps in zip(p_in, surround)]
-                objectness[c].extend(obj)
-                keys = list(map(_pool_rank, obj, p_in))
-                t = keys.index(min(keys))
-                [top] = _proposals(m.class_id, [boxes[t]], [p_in[t]], [sizes[t]],
-                                   [surround[t]], EmptyRingPolicy.ZERO)
-                pools[c].append(CandidatePool(image_id=scene.image_id,
-                                              class_id=m.class_id, entries=(top,)))
+            p_in, _, surround = _score_boxes(m, boxes, ratios, fractions)
+            obj = p_in[:, None] - surround
+            objectness.append(obj)
+            tied = obj == obj.max(axis=1, keepdims=True)
+            top = np.where(tied, p_in[:, None], -np.inf).argmax(axis=1).tolist()
+            for i, row in enumerate(top):
+                for j, t in enumerate(row):
+                    pi, ps = float(p_in[t]), float(surround[i, t, j])
+                    entry = ScoredProposal(box=boxes[t], class_id=m.class_id,
+                                           p_inside=pi, p_surround=ps,
+                                           objectness=pi - ps)
+                    pools[i][j].append(CandidatePool(
+                        image_id=scene.image_id, class_id=m.class_id,
+                        entries=(entry,)))
+    objectness = np.concatenate(objectness, axis=1)
     default = ScoringConfig()
     cells = []
-    for c, (_, _, cfg) in enumerate(grid):
-        ratio, frac = cfg.enlarge_ratio, cfg.top_fraction
-        curve = recall_at_k(pools[c], gts, [1])
-        obj = objectness[c]
-        # the corpus-order values, as a score_corpus run's mean is taken
-        mean_obj = _ordered_mean(obj) if obj else 0.0
-        cells.append(SweepCell(
-            ratio=ratio, fraction=frac,
-            recall_at_1=curve.recalls[0], mean_objectness=mean_obj,
-            is_default=(ratio == default.enlarge_ratio
-                        and frac == default.top_fraction)))
+    for i, row in enumerate(cfgs):
+        for j, cfg in enumerate(row):
+            ratio, frac = cfg.enlarge_ratio, cfg.top_fraction
+            curve = recall_at_k(pools[i][j], gts, [1])
+            obj = objectness[i, :, j].tolist()
+            # corpus order, the order score_corpus scores them in
+            mean_obj = _ordered_mean(obj) if obj else 0.0
+            cells.append(SweepCell(
+                ratio=ratio, fraction=frac,
+                recall_at_1=curve.recalls[0], mean_objectness=mean_obj,
+                is_default=(ratio == default.enlarge_ratio
+                            and frac == default.top_fraction)))
     return SweepResult(cells=tuple(cells), ratios=tuple(ratios),
                        fractions=tuple(fractions))

@@ -278,10 +278,16 @@ def read_boxes(path, size=None, image_id=None) -> list[BoxRecord]:
 
 
 def write_boxes(records: list[BoxRecord], path) -> None:
-    has_scores = any(r.score is not None for r in records)
+    """Box CSV with a score column when the records have scores; either
+    every record has a score or none has."""
+    unscored = [i for i, r in enumerate(records) if r.score is None]
+    has_scores = len(unscored) < len(records)
+    if has_scores and unscored:
+        raise ValueError(f"records at positions {unscored} have no score, "
+                         f"but others do")
     _write_rows(path, BOX_HEADER + ["score"] if has_scores else BOX_HEADER, (
         [r.image_id, r.class_id, *r.box.as_tuple()]
-        + ([_fmt(r.score if r.score is not None else 0.0)] if has_scores else [])
+        + ([_fmt(r.score)] if has_scores else [])
         for r in records))
 
 
@@ -476,6 +482,15 @@ def read_bundle(directory) -> SceneBundle:
                 failures.append("missing gt.csv")
         except ParseError as exc:
             failures.append(str(exc))
+    if "has_proposals" in meta:  # bundles written without the key pass
+        has = meta["has_proposals"]
+        if type(has) is not bool:
+            failures.append(f"spec.json: has_proposals must be true or "
+                            f"false, got {has!r}")
+        elif has != (directory / "proposals.csv").is_file():
+            failures.append(f"spec.json: has_proposals is {json.dumps(has)} "
+                            f"but proposals.csv "
+                            f"{'is missing' if has else 'exists'}")
     if failures:
         raise BundleValidationError(directory, failures)
     known = KNOWN_BUNDLE_FILES | set(map_files.values())

@@ -8,11 +8,12 @@ surrounding completeness, so the difference ranks them above boxes stuck
 on discriminative object parts.
 
 Both statistics come from one kernel over a grid of enlarge ratios and
-top fractions: box means from the summed-area table (clamped to [0, 1]),
-ring pixels gathered into a scratch buffer once per ratio (once per
-fraction on the fallback path) and reduced by an exact top-k mean per
-fraction. ``score_batch`` calls it with a 1x1 grid, the ablation sweep
-with its whole grid.
+top fractions, returned as arrays: box means from the summed-area table
+(clamped to [0, 1]), ring sizes as outer minus inner area, each ring's
+k per fraction as one array expression, and surround means from ring
+pixels gathered into a scratch buffer once per ratio (once per fraction
+on the fallback path) and reduced by an exact top-k mean. ``score_batch``
+calls it with a 1x1 grid, the ablation sweep with its whole grid.
 
 Sharing work across fractions changes the order in which a ring's values
 are added, which in general changes the bits of a float sum. It cannot
@@ -103,17 +104,6 @@ class CandidatePool:
     entries: tuple[ScoredProposal, ...] = field(default=())
 
 
-def top_k_count(n: int, top_fraction: float) -> int:
-    """Number of pixels the conditional average keeps: ceil(fraction * n).
-
-    Rounding up guarantees at least one pixel for any non-empty region.
-    The product is evaluated in floats; every top-k mean in this module
-    goes through this helper, and the naive reference scorer mirrors the
-    same expression, so they agree on k even when the product rounds.
-    """
-    return min(max(math.ceil(top_fraction * n), 1), n)
-
-
 def _gather_ring(values: np.ndarray, buf: np.ndarray,
                  ox0: int, oy0: int, ox1: int, oy1: int,
                  bx0: int, by0: int, bx1: int, by1: int) -> int:
@@ -148,9 +138,8 @@ def _gather_ring(values: np.ndarray, buf: np.ndarray,
     return n
 
 
-def _topk_mean(buf: np.ndarray, n: int, top_fraction: float) -> float:
+def _topk_mean(buf: np.ndarray, n: int, k: int) -> float:
     """Mean of the k largest of buf[:n]; partitions the buffer in place."""
-    k = top_k_count(n, top_fraction)
     v = buf[:n]
     if k >= n:
         return float(v.sum(dtype=np.float64) / n)
@@ -174,9 +163,8 @@ def _exact_ring_limit(values: np.ndarray) -> float:
     return 2.0 ** (math.frexp(v_min)[1] - 1 + 30)
 
 
-def _shared_topk_means(buf: np.ndarray, n: int,
-                       fractions: list[float]) -> list[float]:
-    """Top-k means of buf[:n] at each of ``fractions``, from one sort.
+def _shared_topk_means(buf: np.ndarray, n: int, ks: list[int]) -> list[float]:
+    """Means of the k largest of buf[:n] for each k of ``ks``, from one sort.
 
     Only for a ring within ``_exact_ring_limit``: the ring is sorted in
     place, and one reduceat over the distinct cut points n - k gives
@@ -185,7 +173,6 @@ def _shared_topk_means(buf: np.ndarray, n: int,
     """
     v = buf[:n]
     v.sort()
-    ks = [top_k_count(n, f) for f in fractions]
     cuts = sorted({n - k for k in ks})
     segments = np.add.reduceat(v, cuts, dtype=np.float64).tolist()
     top = {}
@@ -196,21 +183,33 @@ def _shared_topk_means(buf: np.ndarray, n: int,
     return [top[n - k] / k for k in ks]
 
 
+def _top_k_counts(sizes: np.ndarray, fractions) -> np.ndarray:
+    """k = min(max(ceil(f * n), 1), n) for every ring size n and fraction f.
+
+    The surround mean keeps the ceil(f * n) largest ring values, at least
+    one of a non-empty ring. Each product is the float64 product of n and
+    f, as in ``oracle_score``'s scalar rule, so the two agree on k even
+    where the product rounds; an empty ring gets k = 0.
+    """
+    k = np.ceil(np.multiply.outer(sizes, fractions))
+    return np.minimum(np.maximum(k, 1), sizes[..., None]).astype(np.int64)
+
+
 def _score_boxes(m: ConfMap, boxes: list[Box], ratios: list[float],
                  fractions: list[float]):
-    """The scoring kernel over a (ratio x fraction) grid, as columns.
+    """The scoring kernel over a (ratio x fraction) grid, as arrays.
 
-    Returns ``(p_inside, rings)``: one box mean per box, in input order,
-    and per ratio a pair ``(sizes, surround)`` where ``sizes`` holds each
-    box's ring pixel count and ``surround[j]`` its surround mean at
-    ``fractions[j]`` (0.0 for an empty ring).
+    Returns ``(p_in, sizes, surround)`` for n boxes, R ratios and F
+    fractions, boxes in input order: ``p_in`` (n,) holds the box means,
+    ``sizes`` (R, n) the ring pixel counts (outer area minus inner area)
+    and ``surround`` (R, n, F) the surround means, 0.0 for an empty ring.
 
     Bounds are checked first, and a ValueError names every box outside
     the map. The map's integral is then built once, through this module's
     ``build_integral`` name, whatever the grid's size. Box means come from
     it, clamped to [0, 1] (its 4-corner difference can round just outside
     on maps of tiny values); each ring is gathered once per ratio with the
-    strip gather.
+    strip gather, and keeps the ``_top_k_counts`` largest of its values.
 
     When the grid has two or more fractions below 1, the map's
     ``_exact_ring_limit`` is computed once: every float64 sum over a ring
@@ -222,15 +221,15 @@ def _score_boxes(m: ConfMap, boxes: list[Box], ratios: list[float],
     first: every cell then works on a freshly gathered ring with
     ``_topk_mean``, the same arithmetic as a 1x1 grid.
     """
-    bad = [i for i, b in enumerate(boxes) if not m.contains_box(b)]
+    coords = np.array([b.as_tuple() for b in boxes], dtype=np.int64).reshape(-1, 4)
+    x0, y0, x1, y1 = coords.T
+    bad = np.flatnonzero((x1 > m.width) | (y1 > m.height)).tolist()
     if bad:
         raise ValueError(f"boxes out of map bounds {m.width}x{m.height} "
                          f"at input positions {bad}")
     t = build_integral(m)
-    coords = np.array([b.as_tuple() for b in boxes], dtype=np.int64).reshape(-1, 4)
-    x0, y0, x1, y1 = coords.T
-    p_in = (t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0]) / ((x1 - x0) * (y1 - y0))
-    p_in = np.clip(p_in, 0.0, 1.0).tolist()
+    area = (x1 - x0) * (y1 - y0)
+    p_in = np.clip((t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0]) / area, 0.0, 1.0)
 
     values = m.values
     partitioning = sum(1 for f in fractions if f < 1.0)
@@ -239,40 +238,26 @@ def _score_boxes(m: ConfMap, boxes: list[Box], ratios: list[float],
     topk = _topk_mean
     shared = _shared_topk_means
     buf = np.empty(m.width * m.height, dtype=values.dtype)
-    rings = []
-    for ratio in ratios:
-        outer = enlarge_coords(x0, y0, x1, y1, ratio, m.width, m.height)
-        geo = np.stack([*outer, x0, y0, x1, y1], axis=1).tolist()
-        sizes = []
-        surround = [[] for _ in fractions]
-        for g in geo:
-            n = gather(values, buf, g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7])
-            sizes.append(n)
+    sizes = np.empty((len(ratios), len(boxes)), dtype=np.int64)
+    surround = np.zeros((len(ratios), len(boxes), len(fractions)))
+    for i, ratio in enumerate(ratios):
+        ox0, oy0, ox1, oy1 = enlarge_coords(x0, y0, x1, y1, ratio, m.width, m.height)
+        sizes[i] = (ox1 - ox0) * (oy1 - oy0) - area
+        geo = np.stack([ox0, oy0, ox1, oy1, x0, y0, x1, y1], axis=1).tolist()
+        rows = surround[i]
+        for b, (g, n, ks) in enumerate(zip(geo, sizes[i].tolist(),
+                                           _top_k_counts(sizes[i], fractions).tolist())):
             if n == 0:
-                for column in surround:
-                    column.append(0.0)
-            elif n <= limit:
-                for column, ps in zip(surround, shared(buf, n, fractions)):
-                    column.append(ps)
+                continue
+            gather(values, buf, *g)
+            if n <= limit:
+                rows[b] = shared(buf, n, ks)
             else:
-                for j, frac in enumerate(fractions):
+                for j, k in enumerate(ks):
                     if j:
                         gather(values, buf, *g)
-                    surround[j].append(topk(buf, n, frac))
-        rings.append((sizes, surround))
-    return p_in, rings
-
-
-def _proposals(class_id: int, boxes: list[Box], p_in: list[float],
-               sizes: list[int], surround: list[float],
-               policy: EmptyRingPolicy) -> list[ScoredProposal]:
-    """One kernel cell as ScoredProposals; an empty ring is excluded
-    under the SKIP policy."""
-    skip_on_empty = policy is EmptyRingPolicy.SKIP
-    return [ScoredProposal(box=b, class_id=class_id, p_inside=pi,
-                           p_surround=ps, objectness=pi - ps,
-                           excluded=skip_on_empty and n == 0)
-            for b, pi, n, ps in zip(boxes, p_in, sizes, surround)]
+                    rows[b, j] = topk(buf, n, k)
+    return p_in, sizes, surround
 
 
 def score_batch(m: ConfMap, boxes: list[Box],
@@ -284,26 +269,25 @@ def score_batch(m: ConfMap, boxes: list[Box],
     proposal is also marked excluded. Bounds are validated up front: a
     ValueError names every offending box before any is scored.
     """
-    p_in, [(sizes, [surround])] = _score_boxes(
+    p_in, sizes, surround = _score_boxes(
         m, boxes, [cfg.enlarge_ratio], [cfg.top_fraction])
-    return _proposals(m.class_id, boxes, p_in, sizes, surround,
-                      cfg.empty_ring_policy)
-
-
-def _pool_rank(objectness: float, p_inside: float) -> tuple[float, float]:
-    """Sort key of candidate pools: objectness descending, then p_inside
-    descending; a stable sort keeps input order among equal keys."""
-    return (-objectness, -p_inside)
+    skip_on_empty = cfg.empty_ring_policy is EmptyRingPolicy.SKIP
+    return [ScoredProposal(box=b, class_id=m.class_id, p_inside=pi,
+                           p_surround=ps, objectness=pi - ps,
+                           excluded=skip_on_empty and n == 0)
+            for b, pi, n, ps in zip(boxes, p_in.tolist(), sizes[0].tolist(),
+                                    surround[0, :, 0].tolist())]
 
 
 def build_pool(scored: list[ScoredProposal], cfg: ScoringConfig,
                image_id: str = "") -> CandidatePool:
-    """Keep the top pool_size proposals by objectness, deterministic ties."""
+    """Keep the top pool_size proposals by objectness, deterministic ties:
+    p_inside descending, then input order (the sort is stable)."""
     kept = [s for s in scored if not s.excluded]
     class_ids = {s.class_id for s in kept}
     if len(class_ids) > 1:
         raise ValueError(f"pool entries span multiple classes: {sorted(class_ids)}")
-    ranked = sorted(kept, key=lambda s: _pool_rank(s.objectness, s.p_inside))
+    ranked = sorted(kept, key=lambda s: (-s.objectness, -s.p_inside))
     class_id = kept[0].class_id if kept else -1
     return CandidatePool(image_id=image_id, class_id=class_id,
                          entries=tuple(ranked[:cfg.pool_size]))

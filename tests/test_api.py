@@ -13,8 +13,9 @@ import pytest
 import tightbox
 from tightbox.confmap import ConfMap
 from tightbox.evaluation import GtInstance, ablation_sweep
-from tightbox.geometry import Box
-from tightbox.scoring import ScoringConfig
+from tightbox.geometry import Box, ring
+from tightbox.io_formats import read_bundle, write_bundle
+from tightbox.scoring import ScoringConfig, build_pool, score_batch
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -55,6 +56,31 @@ BENCHMARK_CALLS = [
                          ids=[f"{m.split('.')[1]}.{n}" for m, n, _, _ in BENCHMARK_CALLS])
 def test_every_benchmark_call_binds(module, name, args, kwargs):
     inspect.signature(getattr(importlib.import_module(module), name)).bind(*args, **kwargs)
+
+
+def test_results_have_the_shapes_the_benchmark_reads(tmp_path):
+    # bench/run.py unpacks bundle proposals, reads these attributes of
+    # score_batch entries, pools and rings, and checks pool order by the
+    # identity of the entries
+    maps = {1: ConfMap(class_id=1, values=np.full((16, 16), 0.5))}
+    path = write_bundle(tmp_path / "scene", "scene", maps, [(1, Box(2, 2, 8, 8))],
+                        proposals=[(1, Box(2, 2, 8, 8)), (1, Box(4, 4, 12, 12))])
+    bundle = read_bundle(path)
+    boxes = []
+    for cid, box, score in bundle.proposals:
+        assert (cid, score) == (1, None)
+        boxes.append(box)
+    cfg = ScoringConfig()
+    scored = score_batch(bundle.maps[1], boxes, cfg)
+    for s, box in zip(scored, boxes):
+        assert s.box == box
+        assert s.objectness == s.p_inside - s.p_surround
+        assert s.excluded is False
+    pool = build_pool(scored, cfg, image_id="scene")
+    assert (pool.image_id, pool.class_id) == ("scene", 1)
+    assert isinstance(pool.entries, tuple)
+    assert all(any(e is s for s in scored) for e in pool.entries)
+    assert ring(Box(2, 2, 8, 8), 1.2, 16, 16).pixel_count == 8 * 8 - 6 * 6
 
 
 def test_score_batch_builds_its_integral_through_the_module_global(monkeypatch):

@@ -240,12 +240,33 @@ class TestScore:
                              "--out", out]], ids=["score", "sweep"])
     def test_bundle_without_proposals_is_a_data_error_naming_it(
             self, corpus, tmp_path, capsys, command):
-        (corpus / "scene_0001" / "proposals.csv").unlink()
+        bundle = corpus / "scene_0001"
+        (bundle / "proposals.csv").unlink()
+        spec = bundle / "spec.json"
+        spec.write_text(json.dumps({**json.loads(spec.read_text()),
+                                    "has_proposals": False}))
         out_dir = tmp_path / "out"
         assert run(command(corpus, out_dir / "result")) == 2
         err = capsys.readouterr().err
         assert f"no proposals.csv to score in {corpus / 'scene_0001'}" in err
         assert "scene_0000" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", [
+        lambda corpus, out: ["score", corpus, "--out", out],
+        lambda corpus, out: ["eval", "recall", "--corpus", corpus,
+                             "--scored", out, "--out", out],
+        lambda corpus, out: ["eval", "sweep", "--corpus", corpus,
+                             "--out", out]], ids=["score", "recall", "sweep"])
+    def test_spec_listing_a_missing_proposals_csv_is_a_data_error(
+            self, corpus, tmp_path, capsys, command):
+        # the spec says the bundle has proposals; its proposals.csv is gone
+        (corpus / "scene_0001" / "proposals.csv").unlink()
+        out_dir = tmp_path / "out"
+        assert run(command(corpus, out_dir / "result")) == 2
+        err = capsys.readouterr().err
+        assert str(corpus / "scene_0001") in err
+        assert "spec.json: has_proposals is true but proposals.csv is missing" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("name", ["proposals.csv", "gt.csv", "spec.json"])

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from metric_fixtures import (AP_FIXTURES, CORLOC_FIXTURES, FAR, HIT,
                              RECALL_FIXTURES, det, gt, pool)
 from tightbox import evaluation
-from tightbox.evaluation import (ApMode, GroundTruth, GtInstance, _ordered_mean,
-                                 ablation_sweep, corloc, recall_at_k,
-                                 score_corpus, voc_ap)
+from tightbox.evaluation import (ApMode, GroundTruth, GtInstance, _class_maps,
+                                 _ordered_mean, ablation_sweep, corloc,
+                                 recall_at_k, score_corpus, voc_ap)
 from tightbox.confmap import ConfMap
 from tightbox.geometry import Box
-from tightbox.scoring import (EmptyRingPolicy, ScoringConfig, _proposals,
-                              _score_boxes, score_batch)
+from tightbox.scoring import (EmptyRingPolicy, ScoredProposal, ScoringConfig,
+                              _score_boxes, build_pool, score_batch)
 from tightbox.synth import (ProposalCounts, gen_proposals, gen_scene,
                             make_trap_spec, oracle_score)
 
@@ -143,6 +143,13 @@ class FakeScene:
     proposals: list
 
 
+def score_all(scenes, cfg):
+    """Every proposal's ScoredProposal in corpus order: scenes in order,
+    classes ascending, boxes in proposal order."""
+    return [s for scene in scenes for _, m, boxes in _class_maps(scene)
+            for s in score_batch(m, boxes, cfg)]
+
+
 def tiny_corpus(n_scenes=6, noise=0.0, blur=0, seed0=500):
     scenes = []
     for i in range(n_scenes):
@@ -174,7 +181,7 @@ class TestAblationSweep:
         recalls = {c.recall_at_1 for c in result.cells}
         objs = {round(c.mean_objectness, 12) for c in result.cells}
         assert len(recalls) == 1 and len(objs) == 1
-        pools, scored = score_corpus(scenes, ScoringConfig(enlarge_ratio=1.0))
+        scored = score_all(scenes, ScoringConfig(enlarge_ratio=1.0))
         assert all(s.objectness == s.p_inside for s in scored)
 
     def test_sweep_is_deterministic(self):
@@ -206,11 +213,44 @@ class TestAblationSweep:
             assert cell.mean_objectness == pytest.approx(sum(want) / len(want),
                                                          abs=1e-6)
 
+    def test_objectness_tie_goes_to_build_pools_first_entry(self):
+        # dyadic maps make every mean exact: in scene "p" box b (purity
+        # 0.625, ring 0.125) and box a (0.75, ring 0.25) tie at objectness
+        # 0.5 in every cell, and a wins on purity though b comes first; in
+        # scene "o" two copies of a tie on both, and the first one wins
+        def pattern(values, box, inside, ring):
+            values[box.y0 - 1:box.y1 + 1, box.x0 - 1:box.x1 + 1] = ring
+            values[box.y0:box.y1, box.x0:box.x1] = inside
+
+        a, b = Box(5, 5, 15, 15), Box(40, 40, 50, 50)
+        purity, order = np.zeros((64, 64)), np.zeros((64, 64))
+        pattern(purity, a, 0.75, 0.25)
+        pattern(purity, b, 0.625, 0.125)
+        pattern(order, a, 0.75, 0.25)
+        pattern(order, b, 0.75, 0.25)
+        scenes = [FakeScene(image_id=image_id, maps={1: ConfMap(1, values)},
+                            gt=[GtInstance(class_id=1, box=a)],
+                            proposals=proposals)
+                  for image_id, values, proposals in (
+                      ("p", purity, [(1, b), (1, a)]),
+                      ("o", order, [(1, a), (1, b)]))]
+        ratios, fractions = [1.1, 1.2], [0.3, 0.5, 0.7, 1.0]
+        for r in ratios:
+            for f in fractions:
+                cfg = ScoringConfig(enlarge_ratio=r, top_fraction=f)
+                for scene in scenes:
+                    [(_, m, boxes)] = _class_maps(scene)
+                    scored = score_batch(m, boxes, cfg)
+                    assert [s.objectness for s in scored] == [0.5, 0.5]
+                    assert build_pool(scored, cfg).entries[0].box == a
+        result = ablation_sweep(scenes, ratios, fractions)
+        assert [c.recall_at_1 for c in result.cells] == [1.0] * 8
+
     def test_default_cell_beats_purity_on_trap_corpus(self):
         scenes = tiny_corpus(6)
         result = ablation_sweep(scenes, [1.2], [0.5])
         cell = result.cells[0]
-        pools_pi, _ = score_corpus(scenes, ScoringConfig(enlarge_ratio=1.0))
+        pools_pi = score_corpus(scenes, ScoringConfig(enlarge_ratio=1.0))
         gts = [GroundTruth(image_id=s.image_id, entries=tuple(s.gt))
                for s in scenes]
         purity_recall = recall_at_k(pools_pi, gts, [1]).recalls[0]
@@ -254,10 +294,15 @@ def edge_case_corpus(seed):
     return scenes
 
 
-def grid_cell(m, boxes, p_in, rings, i, j, policy):
-    """Cell (i, j) of a ``_score_boxes`` result as ScoredProposals."""
-    sizes, surround = rings[i]
-    return _proposals(m.class_id, boxes, p_in, sizes, surround[j], policy)
+def grid_cell(m, boxes, p_in, sizes, surround, i, j, policy):
+    """Cell (i, j) of a ``_score_boxes`` result as the ScoredProposals
+    that ``score_batch`` builds from a 1x1 grid."""
+    skip_on_empty = policy is EmptyRingPolicy.SKIP
+    return [ScoredProposal(box=b, class_id=m.class_id, p_inside=pi,
+                           p_surround=ps, objectness=pi - ps,
+                           excluded=skip_on_empty and n == 0)
+            for b, pi, n, ps in zip(boxes, p_in.tolist(), sizes[i].tolist(),
+                                    surround[i, :, j].tolist())]
 
 
 RATIOS = st.lists(st.sampled_from([1.0, 1.05, 1.2, 1.5, 3.0]),
@@ -281,10 +326,10 @@ class TestSweepExactness:
             [(r, f) for r in ratios for f in fractions]
         for cell in result.cells:
             cfg = ScoringConfig(enlarge_ratio=cell.ratio, top_fraction=cell.fraction)
-            pools, scored = score_corpus(scenes, cfg)
+            pools = score_corpus(scenes, cfg)
             assert cell.recall_at_1 == recall_at_k(pools, gts, [1]).recalls[0]
             assert cell.mean_objectness == _ordered_mean(
-                [s.objectness for s in scored])
+                [s.objectness for s in score_all(scenes, cfg)])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ratios=RATIOS, fractions=FRACTIONS,
@@ -295,13 +340,13 @@ class TestSweepExactness:
         for scene in edge_case_corpus(seed):
             for cid, m in scene.maps.items():
                 boxes = [b for c, b in scene.proposals if c == cid]
-                p_in, rings = _score_boxes(m, boxes, ratios, fractions)
+                p_in, sizes, surround = _score_boxes(m, boxes, ratios, fractions)
                 for i, r in enumerate(ratios):
                     for j, f in enumerate(fractions):
                         expected = score_batch(m, boxes, ScoringConfig(
                             enlarge_ratio=r, top_fraction=f,
                             empty_ring_policy=policy))
-                        assert grid_cell(m, boxes, p_in, rings, i, j,
+                        assert grid_cell(m, boxes, p_in, sizes, surround, i, j,
                                          policy) == expected
                         one = _score_boxes(m, boxes, [r], [f])
                         assert grid_cell(m, boxes, *one, 0, 0, policy) == expected
@@ -368,7 +413,7 @@ class TestOrderedMeans:
         differing = 0
         for cell in result.cells:
             cfg = ScoringConfig(enlarge_ratio=cell.ratio, top_fraction=cell.fraction)
-            objs = [s.objectness for s in score_corpus(scenes, cfg)[1]]
+            objs = [s.objectness for s in score_all(scenes, cfg)]
             differing += self.order_matters(objs)
             assert cell.mean_objectness == _ordered_mean(objs)
         assert differing

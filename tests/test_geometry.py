@@ -165,8 +165,8 @@ class TestRing:
         r = ring(b, ratio, w, h)
         assert r.pixel_count == r.outer.area - r.inner.area >= 0
         m = ConfMap(class_id=1, values=np.zeros((h, w)))
-        _, [(sizes, _)] = _score_boxes(m, [b], [ratio], [0.5])
-        assert sizes == [r.pixel_count]
+        _, sizes, _ = _score_boxes(m, [b], [ratio], [0.5])
+        assert sizes.tolist() == [[r.pixel_count]]
 
     def test_inner_must_be_contained(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,16 @@ class TestBoxCsv:
         write_boxes(records, path)
         assert read_boxes(path) == records
 
+    def test_mixed_scores_rejected_naming_unscored_positions(self, tmp_path):
+        records = [BoxRecord("i", 1, Box(0, 0, 1, 1), 0.5),
+                   BoxRecord("i", 1, Box(0, 0, 2, 2)),
+                   BoxRecord("i", 1, Box(0, 0, 3, 3), 0.25),
+                   BoxRecord("i", 1, Box(0, 0, 4, 4))]
+        path = tmp_path / "b.csv"
+        with pytest.raises(ValueError, match=r"positions \[1, 3\] have no score"):
+            write_boxes(records, path)
+        assert not path.exists()
+
     def test_degenerate_box_reports_line_number(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("image_id,class_id,x0,y0,x1,y1\n"
@@ -375,9 +385,13 @@ class TestBundles:
          "map_files"),
         (lambda meta: {**meta, "width": "a"}, "width"),
         (lambda meta: {**meta, "height": None}, "height"),
-        (lambda meta: {**meta, "image_id": 7}, "image_id")],
+        (lambda meta: {**meta, "image_id": 7}, "image_id"),
+        (lambda meta: {**meta, "has_proposals": "yes"}, "has_proposals"),
+        (lambda meta: {**meta, "has_proposals": 1}, "has_proposals"),
+        (lambda meta: {**meta, "has_proposals": None}, "has_proposals")],
         ids=["top-level-list", "map-files-list", "map-file-int",
-             "class-id-word", "width-string", "height-null", "image-id-int"])
+             "class-id-word", "width-string", "height-null", "image-id-int",
+             "has-proposals-string", "has-proposals-int", "has-proposals-null"])
     def test_malformed_spec_field_named_in_failure(self, tmp_path, edit, field):
         path = self.make_bundle(tmp_path)
         spec = path / "spec.json"
@@ -385,6 +399,29 @@ class TestBundles:
         with pytest.raises(BundleValidationError) as exc:
             read_bundle(path)
         assert any(f.startswith(f"spec.json: {field}") for f in exc.value.failures)
+
+    def test_has_proposals_must_agree_with_proposals_csv(self, tmp_path):
+        listed = self.make_bundle(tmp_path / "listed")
+        (listed / "proposals.csv").unlink()
+        unlisted = self.make_bundle(tmp_path / "unlisted", with_proposals=False)
+        write_boxes([BoxRecord("scene", 1, Box(2, 2, 9, 9))],
+                    unlisted / "proposals.csv")
+        for path, failure in (
+                (listed, "has_proposals is true but proposals.csv is missing"),
+                (unlisted, "has_proposals is false but proposals.csv exists")):
+            with pytest.raises(BundleValidationError) as exc:
+                read_bundle(path)
+            assert exc.value.failures == [f"spec.json: {failure}"]
+
+    def test_spec_without_has_proposals_is_not_checked(self, tmp_path):
+        for name, with_proposals in (("with", True), ("without", False)):
+            path = self.make_bundle(tmp_path / name, with_proposals)
+            spec = path / "spec.json"
+            meta = json.loads(spec.read_text())
+            del meta["has_proposals"]
+            spec.write_text(json.dumps(meta))
+            bundle = read_bundle(path)
+            assert (bundle.proposals is not None) == with_proposals
 
     def test_missing_spec_json_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from tightbox.confmap import ConfMap
 from tightbox.geometry import Box, ring
 from tightbox.scoring import (EmptyRingPolicy, ScoredProposal,
-                              ScoringConfig, _exact_ring_limit, _proposals,
-                              _score_boxes, _topk_mean, build_pool,
-                              score_batch, top_k_count)
+                              ScoringConfig, _exact_ring_limit, _score_boxes,
+                              _top_k_counts, _topk_mean, build_pool,
+                              score_batch)
 from tightbox.synth import oracle_score
 
 
@@ -58,11 +58,17 @@ class TestScoringConfig:
             ScoringConfig(**kwargs)
 
 
+def top_k(n, frac):
+    """The kernel's k for one ring of n pixels at one fraction."""
+    [[k]] = _top_k_counts(np.array([n]), [frac]).tolist()
+    return k
+
+
 def topk_mean(values, frac):
     """The kernel's top-k mean of ``values``, taken on a float32 buffer as
     the ring gather fills it; the buffer is a copy, partitioned in place."""
     buf = np.array(values, dtype=np.float32).reshape(-1)
-    return _topk_mean(buf, buf.size, frac)
+    return _topk_mean(buf, buf.size, top_k(buf.size, frac))
 
 
 class TestConditionalAverage:
@@ -111,11 +117,29 @@ class TestConditionalAverage:
             topk_mean([0.1, 0.5, 0.5, 0.5], 0.5)
 
     def test_top_k_count(self):
-        assert top_k_count(4, 0.5) == 2
-        assert top_k_count(5, 0.5) == 3
-        assert top_k_count(10, 0.3) == 3
-        assert top_k_count(1, 0.01) == 1
-        assert top_k_count(7, 1.0) == 7
+        assert top_k(4, 0.5) == 2
+        assert top_k(5, 0.5) == 3
+        assert top_k(10, 0.3) == 3
+        assert top_k(1, 0.01) == 1
+        assert top_k(7, 1.0) == 7
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 2**31),
+           frac=st.floats(0.0, 1.0, exclude_min=True))
+    @example(n=100, frac=0.07)     # the product rounds up to 7.000000000000001
+    @example(n=100, frac=0.57)     # and down to 56.99999999999999
+    @example(n=2**31, frac=5e-324)
+    def test_array_k_is_the_scalar_rule(self, n, frac):
+        # the same float64 product and clamps as oracle_score's k
+        assert top_k(n, frac) == min(max(math.ceil(frac * n), 1), n)
+
+    def test_array_k_follows_each_size_and_fraction(self):
+        sizes = np.array([[0, 4, 5], [10, 1, 7]])
+        fracs = [0.5, 0.3, 0.01, 1.0]
+        got = _top_k_counts(sizes, fracs)
+        assert got.shape == (2, 3, 4) and got.dtype == np.int64
+        assert got.tolist() == [[[top_k(n, f) for f in fracs] for n in row]
+                                for row in sizes.tolist()]
 
 
 class TestSurroundingCompleteness:
@@ -388,6 +412,17 @@ def bits(values):
     return np.array(values, dtype=np.float64).view(np.uint64).tolist()
 
 
+def cell(m, boxes, p_in, sizes, surround, i, j, policy):
+    """Cell (i, j) of a ``_score_boxes`` result as the ScoredProposals
+    that ``score_batch`` builds from a 1x1 grid."""
+    skip_on_empty = policy is EmptyRingPolicy.SKIP
+    return [ScoredProposal(box=b, class_id=m.class_id, p_inside=pi,
+                           p_surround=ps, objectness=pi - ps,
+                           excluded=skip_on_empty and n == 0)
+            for b, pi, n, ps in zip(boxes, p_in.tolist(), sizes[i].tolist(),
+                                    surround[i, :, j].tolist())]
+
+
 def map_with_smallest(v_min):
     return np.array([[0.0, v_min], [1.0, v_min]], dtype=np.float32)
 
@@ -478,22 +513,29 @@ class TestExactGrid:
         m, boxes = small_map_and_boxes(
             seed, certified_values if certified else fallback_values)
         limit = _exact_ring_limit(m.values)
-        p_in, rings = _score_boxes(m, boxes, ratios, fractions)
-        sizes = [n for ring_sizes, _ in rings for n in ring_sizes]
+        p_in, sizes, surround = _score_boxes(m, boxes, ratios, fractions)
+        assert p_in.shape == (len(boxes),)
+        assert sizes.shape == (len(ratios), len(boxes))
+        assert surround.shape == (len(ratios), len(boxes), len(fractions))
         if certified:
-            assert max(sizes) <= limit
+            assert sizes.max() <= limit
         else:
-            assert limit < 2 and max(sizes) > limit
+            assert limit < 2 and sizes.max() > limit
         for i, r in enumerate(ratios):
-            ring_sizes, surround = rings[i]
             for j, f in enumerate(fractions):
                 expected = score_batch(m, boxes, ScoringConfig(
                     enlarge_ratio=r, top_fraction=f, empty_ring_policy=policy))
-                got = _proposals(m.class_id, boxes, p_in, ring_sizes,
-                                 surround[j], policy)
+                got = cell(m, boxes, p_in, sizes, surround, i, j, policy)
                 assert got == expected
-                assert bits(surround[j]) == bits([s.p_surround for s in expected])
+                assert bits(surround[i, :, j]) == bits([s.p_surround for s in expected])
                 assert bits(p_in) == bits([s.p_inside for s in expected])
+
+    def test_empty_batch_gives_empty_arrays(self):
+        m = ConfMap(class_id=1, values=np.full((8, 8), 0.5))
+        p_in, sizes, surround = _score_boxes(m, [], [1.2, 1.5], [0.3, 0.5, 1.0])
+        assert p_in.shape == (0,)
+        assert sizes.shape == (2, 0)
+        assert surround.shape == (2, 0, 3)
 
 
 class TestGridOracle:
@@ -507,14 +549,13 @@ class TestGridOracle:
     @example(seed=1, ratios=[1.0, 3.0], fractions=[1.0, 0.5, 1e-9])
     def test_cells_match_oracle(self, seed, ratios, fractions):
         m, boxes = small_map_and_boxes(seed, lambda rng, shape: rng.random(shape))
-        p_in, rings = _score_boxes(m, boxes, ratios, fractions)
+        p_in, sizes, surround = _score_boxes(m, boxes, ratios, fractions)
         for i, r in enumerate(ratios):
-            ring_sizes, surround = rings[i]
             for j, f in enumerate(fractions):
                 cfg = ScoringConfig(enlarge_ratio=r, top_fraction=f)
-                cell = _proposals(m.class_id, boxes, p_in, ring_sizes,
-                                  surround[j], cfg.empty_ring_policy)
-                for got, b in zip(cell, boxes):
+                scored = cell(m, boxes, p_in, sizes, surround, i, j,
+                              cfg.empty_ring_policy)
+                for got, b in zip(scored, boxes):
                     want = oracle_score(m, b, cfg)
                     assert got.p_inside == pytest.approx(want.p_inside, abs=1e-6)
                     assert got.p_surround == pytest.approx(want.p_surround, abs=1e-6)
@@ -550,13 +591,10 @@ class TestKernelRange:
         m, boxes = small_map_and_boxes(
             seed, lambda rng, shape: unit_edge_values(rng, shape, exponent))
         limit = _exact_ring_limit(m.values)
-        p_in, rings = _score_boxes(m, boxes, ratios, fractions)
-        sizes = [n for ring_sizes, _ in rings for n in ring_sizes]
+        p_in, sizes, surround = _score_boxes(m, boxes, ratios, fractions)
         if certified:
-            assert max(sizes) <= limit
+            assert sizes.max() <= limit
         else:
-            assert limit < 1 < max(sizes)
-        assert all(0.0 <= v <= 1.0 for v in p_in)
-        for _, surround in rings:
-            for column in surround:
-                assert all(0.0 <= v <= 1.0 for v in column)
+            assert limit < 1 < sizes.max()
+        assert all(0.0 <= v <= 1.0 for v in p_in.tolist())
+        assert all(0.0 <= v <= 1.0 for v in surround.ravel().tolist())
