@@ -183,7 +183,7 @@ def _shared_topk_means(buf: np.ndarray, n: int, ks: list[int]) -> list[float]:
     return [top[n - k] / k for k in ks]
 
 
-def _top_k_counts(sizes: np.ndarray, fractions) -> np.ndarray:
+def _top_k_counts(sizes: np.ndarray, fractions: list[float]) -> np.ndarray:
     """k = min(max(ceil(f * n), 1), n) for every ring size n and fraction f.
 
     The surround mean keeps the ceil(f * n) largest ring values, at least
@@ -243,10 +243,10 @@ def _score_boxes(m: ConfMap, boxes: list[Box], ratios: list[float],
     for i, ratio in enumerate(ratios):
         ox0, oy0, ox1, oy1 = enlarge_coords(x0, y0, x1, y1, ratio, m.width, m.height)
         sizes[i] = (ox1 - ox0) * (oy1 - oy0) - area
+        ring_ks = _top_k_counts(sizes[i], fractions).tolist()
         geo = np.stack([ox0, oy0, ox1, oy1, x0, y0, x1, y1], axis=1).tolist()
         rows = surround[i]
-        for b, (g, n, ks) in enumerate(zip(geo, sizes[i].tolist(),
-                                           _top_k_counts(sizes[i], fractions).tolist())):
+        for b, (g, n, ks) in enumerate(zip(geo, sizes[i].tolist(), ring_ks)):
             if n == 0:
                 continue
             gather(values, buf, *g)
