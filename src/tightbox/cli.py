@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import TightboxError
-from .evaluation import (ApMode, GroundTruth, ablation_sweep, corloc,
-                         recall_at_k, score_corpus, sweep_configs, voc_ap)
+from .evaluation import (ApMode, GroundTruth, ablation_sweep, check_sweep_grid,
+                         corloc, recall_at_k, score_corpus, voc_ap)
 from .io_formats import (MAX_DIMENSION, SceneBundle, ScoredRecord, read_boxes,
                          read_confmap, read_corpus, read_scored, write_bundle,
                          write_json, write_mask, write_scored)
@@ -248,7 +248,7 @@ def cmd_eval_map(args) -> int:
 def cmd_eval_sweep(args) -> int:
     ratios, fracs = _number_list(args.ratios), _number_list(args.fracs)
     try:
-        sweep_configs(ratios, fracs)
+        check_sweep_grid(ratios, fracs)
     except ValueError as exc:
         raise UsageError(str(exc))
     result = ablation_sweep(_read_scorable_corpus(args.corpus), ratios, fracs)

@@ -267,14 +267,10 @@ def score_corpus(scenes, cfg: ScoringConfig) -> list[CandidatePool]:
             for scene in scenes for _, m, boxes in _class_maps(scene)]
 
 
-def sweep_configs(ratios: list[float],
-                  fractions: list[float]) -> list[list[ScoringConfig]]:
-    """The sweep's ScoringConfig per (ratio, fraction) cell, ratios down.
-
-    Every cell is validated, and a ratio or a fraction whose ``:g`` key
-    repeats is a ValueError (1.2 and 1.2000001 would share one cell of
-    the sweep table).
-    """
+def check_sweep_grid(ratios: list[float], fractions: list[float]) -> None:
+    """A ValueError unless every (ratio, fraction) cell is a valid
+    ScoringConfig and no ratio or fraction repeats its ``:g`` key (1.2
+    and 1.2000001 would share one cell of the sweep table)."""
     for name, values in (("ratio", ratios), ("fraction", fractions)):
         seen = set()
         for v in values:
@@ -283,8 +279,9 @@ def sweep_configs(ratios: list[float],
                 raise ValueError(f"repeated sweep {name} {key} (the sweep "
                                  f"table keys cells by :g), got {v!r}")
             seen.add(key)
-    return [[ScoringConfig(enlarge_ratio=r, top_fraction=f) for f in fractions]
-            for r in ratios]
+    for r in ratios:
+        for f in fractions:
+            ScoringConfig(enlarge_ratio=r, top_fraction=f)
 
 
 def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> SweepResult:
@@ -303,7 +300,7 @@ def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> Sweep
     highest objectness, then the highest p_inside, then the first input
     position, which is ``build_pool``'s order.
     """
-    cfgs = sweep_configs(ratios, fractions)
+    check_sweep_grid(ratios, fractions)
     pools = [[[] for _ in fractions] for _ in ratios]
     objectness = [np.empty((len(ratios), 0, len(fractions)))]
     gts = []
@@ -327,9 +324,8 @@ def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> Sweep
     objectness = np.concatenate(objectness, axis=1)
     default = ScoringConfig()
     cells = []
-    for i, row in enumerate(cfgs):
-        for j, cfg in enumerate(row):
-            ratio, frac = cfg.enlarge_ratio, cfg.top_fraction
+    for i, ratio in enumerate(ratios):
+        for j, frac in enumerate(fractions):
             curve = recall_at_k(pools[i][j], gts, [1])
             obj = objectness[i, :, j].tolist()
             # corpus order, the order score_corpus scores them in

@@ -202,7 +202,8 @@ def _fmt(x: float) -> str:
 
 
 def _parse_rows(path, expected_headers, parse_row):
-    """Shared all-or-nothing UTF-8 CSV scaffold; collects every row failure."""
+    """Shared all-or-nothing UTF-8 CSV scaffold; collects every row failure.
+    ``parse_row`` gets each row with as many fields as the header."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
@@ -226,7 +227,10 @@ def _parse_rows(path, expected_headers, parse_row):
             if not raw:
                 continue
             try:
-                rows.append(parse_row(header, raw))
+                if len(raw) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, "
+                                     f"got {len(raw)}")
+                rows.append(parse_row(raw))
             except (ValueError, IndexError) as exc:
                 # the line the row ends on; a quoted field may span lines
                 failures.append((reader.line_num, str(exc)))
@@ -266,10 +270,8 @@ def _check_bundle_row(r, image_id: str | None, size: tuple[int, int] | None):
 def read_boxes(path, size=None, image_id=None) -> list[BoxRecord]:
     """Proposal CSV; the trailing score column is optional. Given a
     (width, height) ``size`` or an ``image_id``, every row must fit it."""
-    def parse(header, raw):
-        if len(raw) != len(header):
-            raise ValueError(f"expected {len(header)} fields, got {len(raw)}")
-        score = float(raw[6]) if len(header) == 7 else None
+    def parse(raw):
+        score = float(raw[6]) if len(raw) == 7 else None
         return _check_bundle_row(BoxRecord(image_id=raw[0], class_id=int(raw[1]),
                                       box=_parse_box(raw[2:6]), score=score),
                             image_id, size)
@@ -293,9 +295,7 @@ def write_boxes(records: list[BoxRecord], path) -> None:
 
 def read_ground_truth(path, size=None, image_id=None) -> list[GtRecord]:
     """Ground-truth CSV; ``size`` and ``image_id`` as for read_boxes."""
-    def parse(header, raw):
-        if len(raw) != 7:
-            raise ValueError(f"expected 7 fields, got {len(raw)}")
+    def parse(raw):
         flag = int(raw[6])
         if flag not in (0, 1):
             raise ValueError(f"ignore_flag must be 0 or 1, got {raw[6]}")
@@ -316,9 +316,7 @@ def read_scored(path, maps=None) -> list[ScoredRecord]:
     objectness must be finite. Given ``maps`` ({image_id: {class_id:
     ConfMap}}), each row's image and class must have a map that holds its
     box: rows of another corpus would all score as misses."""
-    def parse(header, raw):
-        if len(raw) != 9:
-            raise ValueError(f"expected 9 fields, got {len(raw)}")
+    def parse(raw):
         p_inside, p_surround, objectness = (float(v) for v in raw[6:9])
         for name, v in (("p_inside", p_inside), ("p_surround", p_surround)):
             if not 0.0 <= v <= 1.0:
@@ -448,24 +446,33 @@ def read_bundle(directory) -> SceneBundle:
     failures += bad_dims
     size = None if bad_dims else (width, height)
     map_files = meta.get("map_files", {})
+    # a key of more than 10 digits could not even be a TSCF header's class
     if not (isinstance(map_files, dict) and all(
-            k.isdecimal() and isinstance(f, str) for k, f in map_files.items())):
-        failures.append(f"spec.json: map_files must map class ids to file "
-                        f"names, got {map_files!r}")
+            k.isdecimal() and len(k) <= 10 and isinstance(f, str)
+            for k, f in map_files.items())):
+        failures.append(f"spec.json: map_files must map class ids of at most "
+                        f"10 digits to file names, got {map_files!r}")
         map_files = {}
 
     maps: dict[int, ConfMap] = {}
+    keys: dict[int, str] = {}
     for cid_str, fname in sorted(map_files.items()):
+        cid = int(cid_str)
+        if cid in keys:
+            failures.append(f"spec.json: map_files keys {keys[cid]!r} and "
+                            f"{cid_str!r} both name class {cid}")
+            continue
+        keys[cid] = cid_str
         fpath = directory / fname
         if not fpath.is_file():
             failures.append(f"missing map file {fname}")
             continue
         try:
-            m = read_confmap(fpath, class_id=int(cid_str))
+            m = read_confmap(fpath, class_id=cid)
         except MalformedFileError as exc:
             failures.append(f"{fname}: {exc}")
             continue
-        if m.class_id != int(cid_str):
+        if m.class_id != cid:
             failures.append(f"{fname}: header class {m.class_id} != spec {cid_str}")
         elif size and (m.width, m.height) != size:
             failures.append(f"{fname}: dimensions {m.width}x{m.height} "

@@ -11,8 +11,8 @@ Both statistics come from one kernel over a grid of enlarge ratios and
 top fractions, returned as arrays: box means from the summed-area table
 (clamped to [0, 1]), ring sizes as outer minus inner area, each ring's
 k per fraction as one array expression, and surround means from ring
-pixels gathered into a scratch buffer once per ratio (once per fraction
-on the fallback path) and reduced by an exact top-k mean. ``score_batch``
+pixels gathered into a fresh array once per ratio (once per fraction on
+the fallback path) and reduced by an exact top-k mean. ``score_batch``
 calls it with a 1x1 grid, the ablation sweep with its whole grid.
 
 Sharing work across fractions changes the order in which a ring's values
@@ -104,43 +104,22 @@ class CandidatePool:
     entries: tuple[ScoredProposal, ...] = field(default=())
 
 
-def _gather_ring(values: np.ndarray, buf: np.ndarray,
-                 ox0: int, oy0: int, ox1: int, oy1: int,
-                 bx0: int, by0: int, bx1: int, by1: int) -> int:
-    """Copy ring pixels into ``buf`` as four strips; returns the pixel count.
+def _gather_ring(values: np.ndarray, ox0: int, oy0: int, ox1: int, oy1: int,
+                 bx0: int, by0: int, bx1: int, by1: int) -> np.ndarray:
+    """Ring pixels as a new flat array of four strips.
 
-    Strip order (top, bottom, left, right) is fixed, so the buffer and the
-    float sums taken over it are reproducible; the loop is unrolled
-    because this sits on the hot path of every scoring call. A Box has
-    positive height, so a side strip with w > 0 always holds pixels.
+    Strip order (top, bottom, left, right, each row-major) is fixed, so
+    the array and the float sums taken over it are reproducible: every
+    cell of a grid partitions or sorts the same values in the same order.
     """
-    n = 0
-    h = by0 - oy0
-    if h > 0:
-        cnt = h * (ox1 - ox0)
-        buf[:cnt].reshape(h, ox1 - ox0)[...] = values[oy0:by0, ox0:ox1]
-        n = cnt
-    h = oy1 - by1
-    if h > 0:
-        cnt = h * (ox1 - ox0)
-        buf[n:n + cnt].reshape(h, ox1 - ox0)[...] = values[by1:oy1, ox0:ox1]
-        n += cnt
-    w = bx0 - ox0
-    if w > 0:
-        cnt = (by1 - by0) * w
-        buf[n:n + cnt].reshape(by1 - by0, w)[...] = values[by0:by1, ox0:bx0]
-        n += cnt
-    w = ox1 - bx1
-    if w > 0:
-        cnt = (by1 - by0) * w
-        buf[n:n + cnt].reshape(by1 - by0, w)[...] = values[by0:by1, bx1:ox1]
-        n += cnt
-    return n
+    return np.concatenate((values[oy0:by0, ox0:ox1], values[by1:oy1, ox0:ox1],
+                           values[by0:by1, ox0:bx0], values[by0:by1, bx1:ox1]),
+                          axis=None)
 
 
-def _topk_mean(buf: np.ndarray, n: int, k: int) -> float:
-    """Mean of the k largest of buf[:n]; partitions the buffer in place."""
-    v = buf[:n]
+def _topk_mean(v: np.ndarray, k: int) -> float:
+    """Mean of the k largest of the ring ``v``; partitions it in place."""
+    n = v.size
     if k >= n:
         return float(v.sum(dtype=np.float64) / n)
     v.partition(n - k)
@@ -163,15 +142,15 @@ def _exact_ring_limit(values: np.ndarray) -> float:
     return 2.0 ** (math.frexp(v_min)[1] - 1 + 30)
 
 
-def _shared_topk_means(buf: np.ndarray, n: int, ks: list[int]) -> list[float]:
-    """Means of the k largest of buf[:n] for each k of ``ks``, from one sort.
+def _shared_topk_means(v: np.ndarray, ks: list[int]) -> list[float]:
+    """Means of the k largest of the ring for each k of ``ks``, from one sort.
 
     Only for a ring within ``_exact_ring_limit``: the ring is sorted in
     place, and one reduceat over the distinct cut points n - k gives
     segment sums whose suffix totals are the top-k sums. Exactness makes
     them equal to ``_topk_mean``'s to the bit.
     """
-    v = buf[:n]
+    n = v.size
     v.sort()
     cuts = sorted({n - k for k in ks})
     segments = np.add.reduceat(v, cuts, dtype=np.float64).tolist()
@@ -208,8 +187,8 @@ def _score_boxes(m: ConfMap, boxes: list[Box], ratios: list[float],
     the map. The map's integral is then built once, through this module's
     ``build_integral`` name, whatever the grid's size. Box means come from
     it, clamped to [0, 1] (its 4-corner difference can round just outside
-    on maps of tiny values); each ring is gathered once per ratio with the
-    strip gather, and keeps the ``_top_k_counts`` largest of its values.
+    on maps of tiny values); each ring is gathered once per ratio into a
+    fresh array, and keeps the ``_top_k_counts`` largest of its values.
 
     When the grid has two or more fractions below 1, the map's
     ``_exact_ring_limit`` is computed once: every float64 sum over a ring
@@ -217,9 +196,9 @@ def _score_boxes(m: ConfMap, boxes: list[Box], ratios: list[float],
     a ring shares one in-place sort and one segment sum across the
     fractions (``_shared_topk_means``). Other rings, and every ring of a
     grid with fewer partitioning fractions, take the fractions in grid
-    order, and the ring is gathered afresh before each fraction after the
-    first: every cell then works on a freshly gathered ring with
-    ``_topk_mean``, the same arithmetic as a 1x1 grid.
+    order with a fresh gather each: every cell then partitions its own
+    copy of the ring with ``_topk_mean``, the same arithmetic as a 1x1
+    grid.
     """
     coords = np.array([b.as_tuple() for b in boxes], dtype=np.int64).reshape(-1, 4)
     x0, y0, x1, y1 = coords.T
@@ -234,10 +213,6 @@ def _score_boxes(m: ConfMap, boxes: list[Box], ratios: list[float],
     values = m.values
     partitioning = sum(1 for f in fractions if f < 1.0)
     limit = _exact_ring_limit(values) if partitioning >= 2 else 0
-    gather = _gather_ring
-    topk = _topk_mean
-    shared = _shared_topk_means
-    buf = np.empty(m.width * m.height, dtype=values.dtype)
     sizes = np.empty((len(ratios), len(boxes)), dtype=np.int64)
     surround = np.zeros((len(ratios), len(boxes), len(fractions)))
     for i, ratio in enumerate(ratios):
@@ -249,14 +224,11 @@ def _score_boxes(m: ConfMap, boxes: list[Box], ratios: list[float],
         for b, (g, n, ks) in enumerate(zip(geo, sizes[i].tolist(), ring_ks)):
             if n == 0:
                 continue
-            gather(values, buf, *g)
             if n <= limit:
-                rows[b] = shared(buf, n, ks)
+                rows[b] = _shared_topk_means(_gather_ring(values, *g), ks)
             else:
                 for j, k in enumerate(ks):
-                    if j:
-                        gather(values, buf, *g)
-                    rows[b, j] = topk(buf, n, k)
+                    rows[b, j] = _topk_mean(_gather_ring(values, *g), k)
     return p_in, sizes, surround
 
 

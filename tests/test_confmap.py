@@ -28,11 +28,9 @@ def box_mean(m, b):
 
 def gather(m, r):
     """Ring pixels as the scoring kernel gathers them."""
-    buf = np.empty(m.width * m.height, dtype=m.values.dtype)
     o, i = r.outer, r.inner
-    n = _gather_ring(m.values, buf, o.x0, o.y0, o.x1, o.y1,
-                     i.x0, i.y0, i.x1, i.y1)
-    return buf[:n]
+    return _gather_ring(m.values, o.x0, o.y0, o.x1, o.y1,
+                        i.x0, i.y0, i.x1, i.y1)
 
 
 def mask_ring_values(m, r):
@@ -42,6 +40,16 @@ def mask_ring_values(m, r):
     in_ring[o.y0:o.y1, o.x0:o.x1] = True
     in_ring[i.y0:i.y1, i.x0:i.x1] = False
     return m.values[in_ring]
+
+
+def strip_ring_values(m, r):
+    """Reference: ring pixels read one by one, strip by strip (top,
+    bottom, left, right), each strip row-major."""
+    o, i = r.outer, r.inner
+    strips = [(o.x0, o.y0, o.x1, i.y0), (o.x0, i.y1, o.x1, o.y1),
+              (o.x0, i.y0, i.x0, i.y1), (i.x1, i.y0, o.x1, i.y1)]
+    return [float(m.values[y, x]) for x0, y0, x1, y1 in strips
+            for y in range(y0, y1) for x in range(x0, x1)]
 
 
 class TestConfMap:
@@ -177,3 +185,6 @@ class TestRingValues:
         got = gather(m, r)
         assert got.size == r.pixel_count
         assert np.array_equal(np.sort(got), np.sort(mask_ring_values(m, r)))
+        # and in strip order, which keeps every sum over the ring's bits;
+        # a ring clipped at an image edge has empty strips
+        assert got.tolist() == strip_ring_values(m, r)

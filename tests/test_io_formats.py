@@ -291,6 +291,23 @@ class TestScoredCsv:
             (6, "no bundle of the corpus has image 'b' with a map of class 1")]
 
 
+@pytest.mark.parametrize("reader,header,fields", [
+    (read_boxes, "image_id,class_id,x0,y0,x1,y1", 6),
+    (read_boxes, "image_id,class_id,x0,y0,x1,y1,score", 7),
+    (read_ground_truth, "image_id,class_id,x0,y0,x1,y1,ignore_flag", 7),
+    (read_scored, "image_id,class_id,x0,y0,x1,y1,p_inside,p_surround,"
+                  "objectness", 9)])
+def test_field_count_is_checked_against_the_header(tmp_path, reader, header,
+                                                   fields):
+    path = tmp_path / "rows.csv"
+    path.write_text(f"{header}\ni,1,0,0,2\n\ni,1" + ",0" * fields + "\n")
+    with pytest.raises(ParseError) as exc:
+        reader(path)
+    assert exc.value.failures == [(2, f"expected {fields} fields, got 5"),
+                                  (4, f"expected {fields} fields, got "
+                                      f"{fields + 2}")]
+
+
 class TestBundles:
     def make_bundle(self, tmp_path, with_proposals=True):
         rng = np.random.default_rng(84)
@@ -383,6 +400,8 @@ class TestBundles:
         (lambda meta: {**meta, "map_files": {"1": 5}}, "map_files"),
         (lambda meta: {**meta, "map_files": {"one": "class_001.tscf"}},
          "map_files"),
+        (lambda meta: {**meta, "map_files": {"1" * 5000: "class_001.tscf"}},
+         "map_files"),
         (lambda meta: {**meta, "width": "a"}, "width"),
         (lambda meta: {**meta, "height": None}, "height"),
         (lambda meta: {**meta, "image_id": 7}, "image_id"),
@@ -390,8 +409,9 @@ class TestBundles:
         (lambda meta: {**meta, "has_proposals": 1}, "has_proposals"),
         (lambda meta: {**meta, "has_proposals": None}, "has_proposals")],
         ids=["top-level-list", "map-files-list", "map-file-int",
-             "class-id-word", "width-string", "height-null", "image-id-int",
-             "has-proposals-string", "has-proposals-int", "has-proposals-null"])
+             "class-id-word", "class-id-5000-digits", "width-string",
+             "height-null", "image-id-int", "has-proposals-string",
+             "has-proposals-int", "has-proposals-null"])
     def test_malformed_spec_field_named_in_failure(self, tmp_path, edit, field):
         path = self.make_bundle(tmp_path)
         spec = path / "spec.json"
@@ -399,6 +419,24 @@ class TestBundles:
         with pytest.raises(BundleValidationError) as exc:
             read_bundle(path)
         assert any(f.startswith(f"spec.json: {field}") for f in exc.value.failures)
+
+    def test_two_map_files_keys_of_one_class_rejected_naming_both(self,
+                                                                  tmp_path):
+        # "1" and "01" both parse to class 1: loading either one alone
+        # would silently drop the other map
+        path = self.make_bundle(tmp_path)
+        write_confmap_raw(ConfMap(class_id=1, values=np.zeros((16, 16))),
+                          path / "other.tscf")
+        spec = path / "spec.json"
+        meta = json.loads(spec.read_text())
+        for extra in ({"01": "other.tscf"},
+                      {"1": "other.tscf", "01": "class_001.tscf"}):
+            spec.write_text(json.dumps({
+                **meta, "map_files": {**meta["map_files"], **extra}}))
+            with pytest.raises(BundleValidationError) as exc:
+                read_bundle(path)
+            assert exc.value.failures == [
+                "spec.json: map_files keys '01' and '1' both name class 1"]
 
     def test_has_proposals_must_agree_with_proposals_csv(self, tmp_path):
         listed = self.make_bundle(tmp_path / "listed")

@@ -1,9 +1,12 @@
 """Round trips through every file format, and fuzzed bytes into every reader.
 
-A reader given bytes it cannot decode raises its own typed error and
-nothing else. Each failure these properties found is kept as an
-``@example``.
+A reader given bytes it cannot decode, or a bundle whose spec.json it
+cannot use, raises its own typed error and nothing else. Each failure
+these properties found is kept as an ``@example``.
 """
+
+import json
+import math
 
 import numpy as np
 import pytest
@@ -12,11 +15,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tightbox.confmap import ConfMap
-from tightbox.errors import MalformedFileError, ParseError
+from tightbox.errors import (BundleValidationError, MalformedFileError,
+                             ParseError)
 from tightbox.geometry import Box
 from tightbox.io_formats import (BoxRecord, GtRecord, ScoredRecord, read_boxes,
-                                 read_confmap, read_ground_truth, read_mask,
-                                 read_scored, write_boxes, write_confmap_pgm,
+                                 read_bundle, read_confmap, read_corpus,
+                                 read_ground_truth, read_mask, read_scored,
+                                 write_boxes, write_bundle, write_confmap_pgm,
                                  write_confmap_raw, write_ground_truth,
                                  write_pgm, write_scored)
 
@@ -235,3 +240,72 @@ class TestFuzzedBytes:
         (line, message), = exc.value.failures
         assert line == 2 and message.startswith("byte 0xff at offset")
 
+
+
+# ---------------------------------------------------------------------------
+# fuzzed spec.json
+
+MISSING = object()  # the field is left out of spec.json
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.just(math.nan)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+map_files = st.dictionaries(
+    st.sampled_from(["7", "07", "3", "\u0667"]) | st.text(max_size=4),
+    st.sampled_from(["class_007.tscf", "other.tscf", "gt.csv", ".", "..",
+                     "\x00"]) | st.text(max_size=8),
+    max_size=3)
+spec_fields = st.fixed_dictionaries({}, optional={
+    "format_version": st.just(MISSING) | json_values,
+    "image_id": st.sampled_from(["a", "b", MISSING]) | json_values,
+    "width": st.just(MISSING) | json_values,
+    "height": st.just(MISSING) | json_values,
+    "map_files": st.just(MISSING) | map_files | json_values,
+    "has_proposals": st.sampled_from([False, MISSING]) | json_values})
+
+
+class TestFuzzedSpec:
+    """Bundles ``a`` and ``b`` of one corpus, each a valid 8x8 bundle of
+    class 7 (plus ``other.tscf``, a zero class-7 map no spec lists) with
+    some spec.json fields replaced or left out, or the whole spec
+    replaced by another JSON value."""
+
+    @staticmethod
+    def write_spec(bundle, edit):
+        spec = bundle / "spec.json"
+        meta = json.loads(spec.read_text())
+        if isinstance(edit, dict):
+            meta = {k: v for k, v in {**meta, **edit}.items()
+                    if v is not MISSING}
+        else:
+            meta = edit
+        spec.write_text(json.dumps(meta))
+
+    @PROPERTY
+    @given(edits=st.lists(spec_fields | json_values, min_size=2, max_size=2))
+    @example(edits=[{"map_files": {"7": "class_007.tscf", "07": "other.tscf"}},
+                    {}])
+    @example(edits=[{"map_files": {"1" * 5000: "class_007.tscf"}}, {}])
+    @example(edits=[{"map_files": {"7": "\x00"}}, {"image_id": "a"}])
+    def test_bundle_readers_raise_only_bundle_validation_error(self, tmp_path,
+                                                               edits):
+        values = np.linspace(0.0, 1.0, 64).reshape(8, 8)
+        for name, edit in zip("ab", edits):
+            bundle = write_bundle(tmp_path / "corpus" / name, name,
+                                  {7: ConfMap(class_id=7, values=values)},
+                                  [(7, Box(1, 1, 5, 5))])
+            write_confmap_raw(ConfMap(class_id=7, values=np.zeros((8, 8))),
+                              bundle / "other.tscf")
+            self.write_spec(bundle, edit)
+        for read in (lambda: [read_bundle(tmp_path / "corpus" / "a")],
+                     lambda: read_corpus(tmp_path / "corpus")):
+            try:
+                bundles = read()
+            except BundleValidationError as exc:
+                assert exc.failures
+            else:
+                # a bundle that reads clean drops none of its listed maps
+                for b in bundles:
+                    assert len(b.maps) == len(b.meta.get("map_files", {}))

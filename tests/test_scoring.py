@@ -65,10 +65,10 @@ def top_k(n, frac):
 
 
 def topk_mean(values, frac):
-    """The kernel's top-k mean of ``values``, taken on a float32 buffer as
-    the ring gather fills it; the buffer is a copy, partitioned in place."""
-    buf = np.array(values, dtype=np.float32).reshape(-1)
-    return _topk_mean(buf, buf.size, top_k(buf.size, frac))
+    """The kernel's top-k mean of ``values``, taken on a flat float32 copy
+    as the ring gather returns it; the copy is partitioned in place."""
+    v = np.array(values, dtype=np.float32).reshape(-1)
+    return _topk_mean(v, top_k(v.size, frac))
 
 
 class TestConditionalAverage:
