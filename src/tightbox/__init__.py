@@ -13,10 +13,11 @@ __version__ = "0.1.0"
 from .confmap import ConfMap, build_integral
 from .errors import (BundleValidationError, MalformedFileError, ParseError,
                      TightboxError)
-from .evaluation import (ApMode, ApResult, CorLocResult, GroundTruth,
-                         GtInstance, RecallCurve, SweepResult, ablation_sweep,
-                         corloc, recall_at_k, voc_ap)
+from .evaluation import (ApMode, ApResult, CorLocResult, RecallCurve,
+                         SweepResult, ablation_sweep, corloc, recall_at_k,
+                         voc_ap)
 from .geometry import Box, RingRegion, enlarge, iou, ring
+from .io_formats import GtRecord, ScoredRecord
 from .pseudomask import (BACKGROUND, IGNORE, MaskConfig, PseudoMask,
                          generate_mask, mask_stats, normalize_cam)
 from .scoring import (CandidatePool, EmptyRingPolicy, ScoredProposal,
@@ -27,10 +28,10 @@ from .synth import (ProposalCounts, ProposalFamily, SceneObject, SceneSpec,
 
 __all__ = [
     "ApMode", "ApResult", "BACKGROUND", "Box", "BundleValidationError",
-    "CandidatePool", "ConfMap", "CorLocResult", "EmptyRingPolicy",
-    "GroundTruth", "GtInstance", "IGNORE", "MalformedFileError", "MaskConfig",
-    "ParseError", "ProposalCounts", "ProposalFamily", "PseudoMask",
-    "RecallCurve", "RingRegion", "SceneObject", "SceneSpec", "ScoredProposal",
+    "CandidatePool", "ConfMap", "CorLocResult", "EmptyRingPolicy", "GtRecord",
+    "IGNORE", "MalformedFileError", "MaskConfig", "ParseError",
+    "ProposalCounts", "ProposalFamily", "PseudoMask", "RecallCurve",
+    "RingRegion", "SceneObject", "SceneSpec", "ScoredProposal", "ScoredRecord",
     "ScoringConfig", "SweepResult", "TightboxError", "TrapParams",
     "ablation_sweep", "build_integral", "build_pool", "corloc", "enlarge",
     "gen_proposals", "gen_scene", "generate_mask", "iou", "make_linked_spec",

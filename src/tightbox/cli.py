@@ -21,14 +21,14 @@ from pathlib import Path
 
 from . import __version__
 from .errors import TightboxError
-from .evaluation import (ApMode, GroundTruth, ablation_sweep, check_sweep_grid,
-                         corloc, recall_at_k, score_corpus, voc_ap)
-from .io_formats import (MAX_DIMENSION, SceneBundle, ScoredRecord, read_boxes,
-                         read_confmap, read_corpus, read_scored, write_bundle,
-                         write_json, write_mask, write_scored)
+from .evaluation import (ApMode, ablation_sweep, check_sweep_grid, corloc,
+                         recall_at_k, score_corpus, voc_ap)
+from .io_formats import (MAX_DIMENSION, GtRecord, SceneBundle, ScoredRecord,
+                         read_boxes, read_confmap, read_corpus, read_scored,
+                         write_bundle, write_json, write_mask, write_scored)
 from .pseudomask import (IGNORE, MaskConfig, generate_mask, mask_stats,
                          normalize_cam)
-from .scoring import CandidatePool, EmptyRingPolicy, ScoringConfig
+from .scoring import EmptyRingPolicy, ScoringConfig
 from .synth import (ProposalCounts, TrapParams, gen_proposals, gen_scene,
                     make_linked_spec, make_trap_spec)
 from .overlay import write_overlay
@@ -98,10 +98,7 @@ def cmd_score(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     bundles = _read_scorable_corpus(args.corpus)
-    records = [ScoredRecord(image_id=pool.image_id, class_id=pool.class_id,
-                            box=s.box, p_inside=s.p_inside,
-                            p_surround=s.p_surround, objectness=s.objectness)
-               for pool in score_corpus(bundles, cfg) for s in pool.entries]
+    records = score_corpus(bundles, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_scored(records, out)
@@ -166,21 +163,12 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-def _eval_inputs(args) -> tuple[list[ScoredRecord], list[GroundTruth]]:
+def _eval_inputs(args) -> tuple[list[ScoredRecord], list[GtRecord]]:
     """The scored rows, each checked against the corpus's maps, and the
-    corpus's ground truth."""
+    corpus's gt rows."""
     bundles = read_corpus(args.corpus)
     rows = read_scored(args.scored, maps={b.image_id: b.maps for b in bundles})
-    return rows, [GroundTruth(image_id=b.image_id, entries=tuple(b.gt))
-                  for b in bundles]
-
-
-def _pools(rows: list[ScoredRecord]) -> list[CandidatePool]:
-    grouped: dict[tuple[str, int], list[ScoredRecord]] = {}
-    for r in rows:
-        grouped.setdefault((r.image_id, r.class_id), []).append(r)
-    return [CandidatePool(image_id=img, class_id=cid, entries=tuple(entries))
-            for (img, cid), entries in grouped.items()]
+    return rows, [g for b in bundles for g in b.gt]
 
 
 def _emit_result(args, name: str, payload: dict, inputs: list,
@@ -208,7 +196,7 @@ def cmd_eval_recall(args) -> int:
     if min(ks) < 1:
         raise UsageError(f"--ks values must be >= 1, got {min(ks)}")
     rows, gts = _eval_inputs(args)
-    curve = recall_at_k(_pools(rows), gts, ks)
+    curve = recall_at_k(rows, gts, ks)
     payload = {
         "ks": list(curve.ks),
         "recall": dict(zip(map(str, curve.ks), curve.recalls)),
@@ -221,7 +209,7 @@ def cmd_eval_recall(args) -> int:
 
 def cmd_eval_corloc(args) -> int:
     rows, gts = _eval_inputs(args)
-    result = corloc(_pools(rows), gts)
+    result = corloc(rows, gts)
     payload = {
         "per_class": {str(c): v for c, v in result.per_class.items()},
         "mean": result.mean,

@@ -1,8 +1,11 @@
 """Detection-quality metrics and the scale/fraction ablation harness.
 
-All matching uses the inclusive IoU >= 0.5 criterion. Average precision
-follows the VOC greedy matcher: detections sorted by confidence, each
-ground-truth instance claimable at most once.
+The metrics take flat lists of the rows the CSV readers return:
+``ScoredRecord`` detections and ``GtRecord`` ground truth, every gt row a
+positive (its ignore flag is not applied). All matching uses the
+inclusive IoU >= 0.5 criterion. Average precision follows the VOC greedy
+matcher: detections sorted by confidence, each ground-truth instance
+claimable at most once.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box, iou
-from .scoring import (CandidatePool, ScoredProposal, ScoringConfig,
-                      _score_boxes, build_pool, score_batch)
+from .io_formats import GtRecord, ScoredRecord
+from .scoring import ScoringConfig, _score_boxes, build_pool, score_batch
 
 IOU_THRESHOLD = 0.5
 
@@ -27,19 +30,6 @@ def _ordered_mean(values) -> float:
     for v in values:
         total += v
     return total / len(values)
-
-
-@dataclass(frozen=True)
-class GtInstance:
-    class_id: int
-    box: Box
-    ignore: bool = False  # pass-through flag for real-data protocols; unused here
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    image_id: str
-    entries: tuple[GtInstance, ...]
 
 
 @dataclass(frozen=True)
@@ -70,33 +60,40 @@ class ApResult:
     skipped_classes: tuple[int, ...] = ()  # zero ground-truth instances
 
 
-def recall_at_k(pools: list[CandidatePool], gts: list[GroundTruth],
-                ks: list[int]) -> RecallCurve:
-    """Fraction of gt instances hit by any of the top-k pool entries.
+def _ranked(rows) -> dict[tuple[str, int], list[Box]]:
+    """Each (image_id, class_id) group's boxes, ranked in the order its
+    rows arrive."""
+    groups: dict[tuple[str, int], list[Box]] = {}
+    for r in rows:
+        groups.setdefault((r.image_id, r.class_id), []).append(r.box)
+    return groups
 
-    A missing pool for an annotated (image, class) leaves all of its
-    instances unrecalled. The upper bound is for k=1: each (image, class)
-    pair can recall at most one instance.
+
+def recall_at_k(rows: list[ScoredRecord], gts: list[GtRecord],
+                ks: list[int]) -> RecallCurve:
+    """Fraction of gt rows hit by any of the top-k rows of their (image,
+    class), each group of rows ranked in the order given, as
+    ``score_corpus`` returns them and ``write_scored`` writes them.
+
+    An annotated (image, class) without rows leaves all of its instances
+    unrecalled. The upper bound is for k=1: each (image, class) pair can
+    recall at most one instance.
     """
     if not ks or any(k < 1 for k in ks):
         raise ValueError(f"ks must be positive, got {ks}")
     ks = sorted(set(ks))
-    by_key = {(p.image_id, p.class_id): p for p in pools}
-    total = 0
+    ranked = _ranked(rows)
     pairs = set()
     hit_ranks = []  # first rank at which each instance is recalled, or None
-    for gt in gts:
-        for inst in gt.entries:
-            total += 1
-            pairs.add((gt.image_id, inst.class_id))
-            pool = by_key.get((gt.image_id, inst.class_id))
-            rank = None
-            if pool is not None:
-                for r, entry in enumerate(pool.entries, start=1):
-                    if iou(entry.box, inst.box) >= IOU_THRESHOLD:
-                        rank = r
-                        break
-            hit_ranks.append(rank)
+    for g in gts:
+        pairs.add((g.image_id, g.class_id))
+        rank = None
+        for r, box in enumerate(ranked.get((g.image_id, g.class_id), ()), start=1):
+            if iou(box, g.box) >= IOU_THRESHOLD:
+                rank = r
+                break
+        hit_ranks.append(rank)
+    total = len(hit_ranks)
     if total == 0:
         raise ValueError("no ground-truth instances")
     recalls = tuple(sum(1 for r in hit_ranks if r is not None and r <= k) / total
@@ -105,19 +102,18 @@ def recall_at_k(pools: list[CandidatePool], gts: list[GroundTruth],
                        upper_bound=len(pairs) / total, total_instances=total)
 
 
-def corloc(pools: list[CandidatePool], gts: list[GroundTruth]) -> CorLocResult:
-    """Per-class fraction of positive images whose top box (the first entry
-    of the image's pool for the class; a missing or empty pool is a miss)
-    hits any gt instance of the class; mean over classes present in the gt."""
-    top1 = {(p.image_id, p.class_id): p.entries[0] for p in pools if p.entries}
+def corloc(rows: list[ScoredRecord], gts: list[GtRecord]) -> CorLocResult:
+    """Per-class fraction of positive images whose top box (the first row
+    given for the image and class; no row is a miss) hits any gt row of
+    the class; mean over classes present in the gt."""
+    top1 = {key: boxes[0] for key, boxes in _ranked(rows).items()}
     images_per_class: dict[int, set[str]] = {}
     hits_per_class: dict[int, set[str]] = {}
-    for gt in gts:
-        for inst in gt.entries:
-            images_per_class.setdefault(inst.class_id, set()).add(gt.image_id)
-            top = top1.get((gt.image_id, inst.class_id))
-            if top is not None and iou(top.box, inst.box) >= IOU_THRESHOLD:
-                hits_per_class.setdefault(inst.class_id, set()).add(gt.image_id)
+    for g in gts:
+        images_per_class.setdefault(g.class_id, set()).add(g.image_id)
+        top = top1.get((g.image_id, g.class_id))
+        if top is not None and iou(top, g.box) >= IOU_THRESHOLD:
+            hits_per_class.setdefault(g.class_id, set()).add(g.image_id)
     per_class = {cid: len(hits_per_class.get(cid, ())) / len(imgs)
                  for cid, imgs in sorted(images_per_class.items())}
     if not per_class:
@@ -147,7 +143,7 @@ def _ap_from_pr(recall: list[float], precision: list[float], mode: ApMode) -> fl
     return area
 
 
-def voc_ap(rows, gts: list[GroundTruth],
+def voc_ap(rows: list[ScoredRecord], gts: list[GtRecord],
            mode: ApMode = ApMode.ELEVEN_POINT) -> ApResult:
     """Average precision per class with greedy one-to-one matching.
 
@@ -159,12 +155,11 @@ def voc_ap(rows, gts: list[GroundTruth],
     when another instance it overlaps is free. Classes without gt
     instances are excluded from the mean and reported in skipped_classes.
     """
-    gt_index: dict[tuple[str, int], list[GtInstance]] = {}
+    gt_index: dict[tuple[str, int], list[GtRecord]] = {}
     npos: dict[int, int] = {}
-    for gt in gts:
-        for inst in gt.entries:
-            gt_index.setdefault((gt.image_id, inst.class_id), []).append(inst)
-            npos[inst.class_id] = npos.get(inst.class_id, 0) + 1
+    for g in gts:
+        gt_index.setdefault((g.image_id, g.class_id), []).append(g)
+        npos[g.class_id] = npos.get(g.class_id, 0) + 1
 
     det_classes = {d.class_id for d in rows}
     skipped = tuple(sorted(det_classes - set(npos)))
@@ -253,9 +248,11 @@ def _class_maps(scene):
         yield cid, scene.maps[cid], by_class[cid]
 
 
-def score_corpus(scenes, cfg: ScoringConfig) -> list[CandidatePool]:
-    """Score every scene's proposals per class with ``score_batch`` and
-    build their candidate pools, scenes in order, class ids ascending.
+def score_corpus(scenes, cfg: ScoringConfig) -> list[ScoredRecord]:
+    """Score every scene's proposals per class with ``score_batch``, keep
+    each (scene, class)'s ``build_pool`` pool and return its entries as
+    the rows ``write_scored`` writes: scenes in order, class ids
+    ascending, each pool in rank order.
 
     ``scenes`` is an iterable with image_id, maps (class_id -> ConfMap)
     and proposals [(class_id, Box, ...)] attributes, e.g. loaded scene
@@ -263,8 +260,12 @@ def score_corpus(scenes, cfg: ScoringConfig) -> list[CandidatePool]:
     under the ZERO empty-ring policy: every ring is empty, so objectness
     is the box mean.
     """
-    return [build_pool(score_batch(m, boxes, cfg), cfg, image_id=scene.image_id)
-            for scene in scenes for _, m, boxes in _class_maps(scene)]
+    pools = (build_pool(score_batch(m, boxes, cfg), cfg, image_id=scene.image_id)
+             for scene in scenes for _, m, boxes in _class_maps(scene))
+    return [ScoredRecord(image_id=p.image_id, class_id=p.class_id, box=s.box,
+                         p_inside=s.p_inside, p_surround=s.p_surround,
+                         objectness=s.objectness)
+            for p in pools for s in p.entries]
 
 
 def check_sweep_grid(ratios: list[float], fractions: list[float]) -> None:
@@ -288,45 +289,44 @@ def ablation_sweep(scenes, ratios: list[float], fractions: list[float]) -> Sweep
     """Evaluate recall@1 over the full (ratio, fraction) cross-product, the
     other ScoringConfig fields at their defaults.
 
-    ``scenes`` are as for ``score_corpus``, with a gt of GtInstances. The
+    ``scenes`` are as for ``score_corpus``, with a gt of GtRecords. The
     corpus is walked once: each (scene, class) map gets one integral and
     one call of the scoring kernel for the whole grid, which gathers each
     ring once per ratio (once per fraction on the fallback path) and
     returns arrays, the whole grid's objectness being ``p_in[:, None] -
     surround``. Every cell equals a ``score_corpus`` run at its
     configuration: the same recall@1 and the same mean objectness, summed
-    in corpus order. Inside the sweep each pool holds only its first
-    entry, the one recall@1 reads: per cell one masked argmax picks the
-    highest objectness, then the highest p_inside, then the first input
-    position, which is ``build_pool``'s order.
+    in corpus order. Inside the sweep each (scene, class) gives a cell
+    one row, its pool's first entry, the one recall@1 reads: per cell one
+    masked argmax picks the highest objectness, then the highest
+    p_inside, then the first input position, which is ``build_pool``'s
+    order.
     """
     check_sweep_grid(ratios, fractions)
-    pools = [[[] for _ in fractions] for _ in ratios]
+    rows = [[[] for _ in fractions] for _ in ratios]
     objectness = [np.empty((len(ratios), 0, len(fractions)))]
     gts = []
     for scene in scenes:
-        gts.append(GroundTruth(image_id=scene.image_id, entries=tuple(scene.gt)))
+        gts.extend(scene.gt)
         for _, m, boxes in _class_maps(scene):
             p_in, _, surround = _score_boxes(m, boxes, ratios, fractions)
             obj = p_in[:, None] - surround
             objectness.append(obj)
             tied = obj == obj.max(axis=1, keepdims=True)
             top = np.where(tied, p_in[:, None], -np.inf).argmax(axis=1).tolist()
-            for i, row in enumerate(top):
-                for j, t in enumerate(row):
+            for i, picks in enumerate(top):
+                for j, t in enumerate(picks):
                     pi, ps = float(p_in[t]), float(surround[i, t, j])
-                    entry = ScoredProposal(box=boxes[t], class_id=m.class_id,
-                                           p_inside=pi, p_surround=ps,
-                                           objectness=pi - ps)
-                    pools[i][j].append(CandidatePool(
+                    rows[i][j].append(ScoredRecord(
                         image_id=scene.image_id, class_id=m.class_id,
-                        entries=(entry,)))
+                        box=boxes[t], p_inside=pi, p_surround=ps,
+                        objectness=pi - ps))
     objectness = np.concatenate(objectness, axis=1)
     default = ScoringConfig()
     cells = []
     for i, ratio in enumerate(ratios):
         for j, frac in enumerate(fractions):
-            curve = recall_at_k(pools[i][j], gts, [1])
+            curve = recall_at_k(rows[i][j], gts, [1])
             obj = objectness[i, :, j].tolist()
             # corpus order, the order score_corpus scores them in
             mean_obj = _ordered_mean(obj) if obj else 0.0

@@ -27,7 +27,6 @@ import numpy as np
 
 from .confmap import ConfMap
 from .errors import BundleValidationError, MalformedFileError, ParseError
-from .evaluation import GtInstance
 from .geometry import Box
 from .pseudomask import PseudoMask
 
@@ -360,7 +359,7 @@ class SceneBundle:
     image_id: str
     meta: dict
     maps: dict[int, ConfMap]
-    gt: tuple[GtInstance, ...]
+    gt: tuple[GtRecord, ...]
     proposals: tuple[tuple[int, Box, float | None], ...] | None
     warnings: tuple[str, ...] = ()
 
@@ -432,9 +431,10 @@ def read_bundle(directory) -> SceneBundle:
     if not isinstance(meta, dict):
         raise BundleValidationError(directory, [
             f"spec.json: top level must be an object, got {type(meta).__name__}"])
-    if meta.get("format_version") != FORMAT_VERSION:
-        failures.append(f"spec.json: unsupported format_version "
-                        f"{meta.get('format_version')!r}")
+    version = meta.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        failures.append(f"spec.json: format_version must be the integer "
+                        f"{FORMAT_VERSION}, got {version!r}")
     image_id = meta.get("image_id", directory.name)
     if not isinstance(image_id, str):
         failures.append(f"spec.json: image_id must be a string, got {image_id!r}")
@@ -463,6 +463,11 @@ def read_bundle(directory) -> SceneBundle:
                             f"{cid_str!r} both name class {cid}")
             continue
         keys[cid] = cid_str
+        # a path could load another bundle's map of the same class and size
+        if Path(fname).name != fname or fname in (".", ".."):
+            failures.append(f"spec.json: map_files {cid_str!r} must name a "
+                            f"file in the bundle, got {fname!r}")
+            continue
         fpath = directory / fname
         if not fpath.is_file():
             failures.append(f"missing map file {fname}")
@@ -506,7 +511,7 @@ def read_bundle(directory) -> SceneBundle:
             warnings.append(f"unknown file ignored: {child.name}")
     return SceneBundle(
         path=str(directory), image_id=image_id, meta=meta, maps=maps,
-        gt=tuple(GtInstance(r.class_id, r.box, r.ignore) for r in rows["gt.csv"]),
+        gt=tuple(rows["gt.csv"]),
         proposals=(tuple((r.class_id, r.box, r.score) for r in rows["proposals.csv"])
                    if "proposals.csv" in rows else None),
         warnings=tuple(warnings))

@@ -5,26 +5,30 @@ Every expected value was worked out by hand from the matching rules
 instance usable once). The acceptance suite replays all of them at 1e-9.
 """
 
-from tightbox.evaluation import ApMode, CandidatePool, GroundTruth, GtInstance
+from tightbox.evaluation import ApMode
 from tightbox.geometry import Box
-from tightbox.io_formats import ScoredRecord
-from tightbox.scoring import ScoredProposal
+from tightbox.io_formats import GtRecord, ScoredRecord
 
 
-def entry(box, objectness=0.5):
-    return ScoredProposal(box=box, class_id=0, p_inside=objectness,
-                          p_surround=0.0, objectness=objectness)
+def det(image_id, class_id, box, score):
+    """A scored row as read_scored returns it, with ``score`` as objectness."""
+    return ScoredRecord(image_id=image_id, class_id=class_id, box=box,
+                        p_inside=score, p_surround=0.0, objectness=score)
 
 
 def pool(image_id, class_id, boxes):
-    return CandidatePool(image_id=image_id, class_id=class_id,
-                         entries=tuple(entry(b) for b in boxes))
+    """One (image, class) group of scored rows, ranked in list order."""
+    return [det(image_id, class_id, b, 0.5) for b in boxes]
 
 
 def gt(image_id, *entries):
-    return GroundTruth(image_id=image_id,
-                       entries=tuple(GtInstance(class_id=c, box=b)
-                                     for c, b in entries))
+    """An image's gt rows, one per (class_id, box)."""
+    return [GtRecord(image_id=image_id, class_id=c, box=b) for c, b in entries]
+
+
+def flat(groups):
+    """Lists of rows as the one flat list the metrics take."""
+    return [row for group in groups for row in group]
 
 
 G = Box(0, 0, 10, 10)          # reference ground-truth box
@@ -109,12 +113,6 @@ CORLOC_FIXTURES = [
      [pool("i1", 1, [HIT]), pool("i1", 2, [HIT_06])],
      [gt("i1", (1, G), (2, G))], {1: 1.0, 2: 1.0}, 1.0),
 ]
-
-
-def det(image_id, class_id, box, score):
-    """A scored row as read_scored returns it, with ``score`` as objectness."""
-    return ScoredRecord(image_id=image_id, class_id=class_id, box=box,
-                        p_inside=score, p_surround=0.0, objectness=score)
 
 
 # --- voc_ap fixtures: (name, detections, gts, expected {mode: (mAP, per_class)}) ---

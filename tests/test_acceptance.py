@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from metric_fixtures import AP_FIXTURES, CORLOC_FIXTURES, RECALL_FIXTURES
+from metric_fixtures import AP_FIXTURES, CORLOC_FIXTURES, RECALL_FIXTURES, flat
 from test_pseudomask import rule_oracle
 from tightbox.cli import main as cli_main
 from tightbox.confmap import ConfMap
@@ -163,14 +163,14 @@ def test_criterion_5_metric_correctness():
     """Every hand-traced metric fixture reproduces exactly (1e-9)."""
     checked = 0
     for name, pools, gts, ks, expected, upper in RECALL_FIXTURES:
-        curve = recall_at_k(pools, gts, ks)
+        curve = recall_at_k(flat(pools), flat(gts), ks)
         for got, want in zip(curve.recalls, expected):
             assert abs(got - want) <= 1e-9, f"recall fixture {name}"
         assert abs(curve.upper_bound - upper) <= 1e-9, f"recall fixture {name}"
         checked += 1
     n_recall = checked
     for name, pools, gts, per_class, mean in CORLOC_FIXTURES:
-        result = corloc(pools, gts)
+        result = corloc(flat(pools), flat(gts))
         assert abs(result.mean - mean) <= 1e-9, f"corloc fixture {name}"
         for cid, v in per_class.items():
             assert abs(result.per_class[cid] - v) <= 1e-9, f"corloc fixture {name}"
@@ -178,7 +178,7 @@ def test_criterion_5_metric_correctness():
     n_corloc = checked - n_recall
     for name, dets, gts, expected in AP_FIXTURES:
         for mode, (mean_ap, per_class) in expected.items():
-            result = voc_ap(dets, gts, mode)
+            result = voc_ap(dets, flat(gts), mode)
             assert abs(result.mean_ap - mean_ap) <= 1e-9, \
                 f"ap fixture {name} ({mode})"
             for cid, ap in per_class.items():

@@ -1,8 +1,12 @@
 """The public surface that users and the traced benchmark run rely on."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from types import SimpleNamespace
@@ -12,12 +16,14 @@ import pytest
 
 import tightbox
 from tightbox.confmap import ConfMap
-from tightbox.evaluation import GtInstance, ablation_sweep
+from tightbox.evaluation import ablation_sweep
 from tightbox.geometry import Box, ring
-from tightbox.io_formats import read_bundle, write_bundle
+from tightbox.io_formats import GtRecord, read_bundle, write_bundle
 from tightbox.scoring import ScoringConfig, build_pool, score_batch
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+PACKAGE = Path(tightbox.__file__).resolve().parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
 def load_targets():
@@ -30,6 +36,42 @@ def load_targets():
 def test_every_exported_name_resolves():
     missing = [name for name in tightbox.__all__ if not hasattr(tightbox, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    # a fresh interpreter per module, so a module that only imports once
+    # another has loaded it fails here
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", f"import tightbox.{module}"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
+def test_package_imports_form_no_cycle():
+    # module-level ``from .x import ...`` edges; ``from . import name``
+    # reads the package's __init__
+    graph = {}
+    for path in PACKAGE.glob("*.py"):
+        graph[path.stem] = {
+            node.module or "__init__"
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, f"import cycle: {' -> '.join(path + [name])}"
+        if name in done:
+            return
+        path.append(name)
+        for target in sorted(graph[name]):
+            visit(target)
+        path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
 
 
 def test_every_traced_target_exists():
@@ -123,7 +165,7 @@ def test_ablation_sweep_builds_one_integral_per_map(monkeypatch):
         scored_maps += [maps[cid] for cid in classes]
         scenes.append(SimpleNamespace(
             image_id=f"s{i}", maps=maps, proposals=proposals,
-            gt=[GtInstance(class_id=1, box=Box(2, 3, 9, 12))]))
+            gt=[GtRecord(f"s{i}", 1, Box(2, 3, 9, 12))]))
     result = ablation_sweep(scenes, [1.1, 1.2, 1.3, 1.4], [0.3, 0.5, 0.7, 1.0])
     assert len(result.cells) == 16
     assert [id(m) for m in calls] == [id(m) for m in scored_maps]

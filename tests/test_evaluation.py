@@ -7,13 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metric_fixtures import (AP_FIXTURES, CORLOC_FIXTURES, FAR, HIT,
-                             RECALL_FIXTURES, det, gt, pool)
+                             RECALL_FIXTURES, det, flat, gt, pool)
 from tightbox import evaluation
-from tightbox.evaluation import (ApMode, GroundTruth, GtInstance, _class_maps,
-                                 _ordered_mean, ablation_sweep, corloc,
-                                 recall_at_k, score_corpus, voc_ap)
+from tightbox.evaluation import (ApMode, _class_maps, _ordered_mean,
+                                 ablation_sweep, corloc, recall_at_k,
+                                 score_corpus, voc_ap)
 from tightbox.confmap import ConfMap
 from tightbox.geometry import Box
+from tightbox.io_formats import GtRecord
 from tightbox.scoring import (EmptyRingPolicy, ScoredProposal, ScoringConfig,
                               _score_boxes, build_pool, score_batch)
 from tightbox.synth import (ProposalCounts, gen_proposals, gen_scene,
@@ -23,7 +24,7 @@ from tightbox.synth import (ProposalCounts, gen_proposals, gen_scene,
 @pytest.mark.parametrize("name,pools,gts,ks,expected,upper",
                          RECALL_FIXTURES, ids=[f[0] for f in RECALL_FIXTURES])
 def test_recall_fixtures(name, pools, gts, ks, expected, upper):
-    curve = recall_at_k(pools, gts, ks)
+    curve = recall_at_k(flat(pools), flat(gts), ks)
     assert curve.recalls == pytest.approx(expected, abs=1e-9)
     assert curve.upper_bound == pytest.approx(upper, abs=1e-9)
 
@@ -31,7 +32,7 @@ def test_recall_fixtures(name, pools, gts, ks, expected, upper):
 @pytest.mark.parametrize("name,pools,gts,per_class,mean",
                          CORLOC_FIXTURES, ids=[f[0] for f in CORLOC_FIXTURES])
 def test_corloc_fixtures(name, pools, gts, per_class, mean):
-    result = corloc(pools, gts)
+    result = corloc(flat(pools), flat(gts))
     assert set(result.per_class) == set(per_class)
     for cid, v in per_class.items():
         assert result.per_class[cid] == pytest.approx(v, abs=1e-9)
@@ -42,7 +43,7 @@ def test_corloc_fixtures(name, pools, gts, per_class, mean):
                          AP_FIXTURES, ids=[f[0] for f in AP_FIXTURES])
 def test_voc_ap_fixtures(name, dets, gts, expected):
     for mode, (mean_ap, per_class) in expected.items():
-        result = voc_ap(dets, gts, mode)
+        result = voc_ap(dets, flat(gts), mode)
         assert result.mean_ap == pytest.approx(mean_ap, abs=1e-9)
         for cid, ap in per_class.items():
             assert result.per_class[cid] == pytest.approx(ap, abs=1e-9)
@@ -58,21 +59,58 @@ class TestRecallProperties:
             for _ in range(10):
                 dx = int(rng.integers(0, 12))
                 boxes.append(Box(dx, 0, dx + 10, 10))
-            pools.append(pool(f"i{i}", 1, boxes))
-            gts.append(gt(f"i{i}", (1, G)))
+            pools += pool(f"i{i}", 1, boxes)
+            gts += gt(f"i{i}", (1, G))
         curve = recall_at_k(pools, gts, [1, 2, 3, 5, 10])
         assert all(curve.recalls[i] <= curve.recalls[i + 1]
                    for i in range(len(curve.recalls) - 1))
 
     def test_rejects_empty_or_bad_ks(self):
         with pytest.raises(ValueError):
-            recall_at_k([], [gt("i1", (1, Box(0, 0, 2, 2)))], [])
+            recall_at_k([], gt("i1", (1, Box(0, 0, 2, 2))), [])
         with pytest.raises(ValueError):
-            recall_at_k([], [gt("i1", (1, Box(0, 0, 2, 2)))], [0])
+            recall_at_k([], gt("i1", (1, Box(0, 0, 2, 2))), [0])
 
     def test_no_instances_is_an_error(self):
         with pytest.raises(ValueError):
             recall_at_k([], [], [1])
+
+
+GROUP_KEYS = st.tuples(st.sampled_from(["i1", "i2"]), st.integers(1, 3))
+SMALL_BOXES = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h),
+                        st.integers(0, 4), st.integers(0, 4),
+                        st.integers(1, 6), st.integers(1, 6))
+
+
+class TestRowOrder:
+    """recall@k and CorLoc rank each (image, class) group of rows in the
+    order its rows arrive, whatever rows of other groups lie between."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(groups=st.dictionaries(GROUP_KEYS, st.lists(SMALL_BOXES, min_size=1,
+                                                       max_size=5),
+                                  min_size=1, max_size=6),
+           gt_rows=st.lists(st.tuples(GROUP_KEYS, SMALL_BOXES), min_size=1,
+                            max_size=8),
+           data=st.data())
+    def test_interleaving_groups_changes_nothing(self, groups, gt_rows, data):
+        grouped = [det(*key, b, 0.5) for key, boxes in groups.items()
+                   for b in boxes]
+        order = data.draw(st.permutations(
+            [key for key, boxes in groups.items() for _ in boxes]))
+        queues = {key: iter(boxes) for key, boxes in groups.items()}
+        interleaved = [det(*key, next(queues[key]), 0.5) for key in order]
+        gts = [GtRecord(*key, box) for key, box in gt_rows]
+        ks = [1, 2, 5]
+        assert recall_at_k(interleaved, gts, ks) == recall_at_k(grouped, gts, ks)
+        assert corloc(interleaved, gts) == corloc(grouped, gts)
+
+    def test_order_inside_a_group_is_the_ranking(self):
+        gts = gt("i1", (1, HIT))
+        assert recall_at_k(pool("i1", 1, [HIT, FAR]), gts, [1]).recalls == (1.0,)
+        assert recall_at_k(pool("i1", 1, [FAR, HIT]), gts, [1]).recalls == (0.0,)
+        assert corloc(pool("i1", 1, [HIT, FAR]), gts).mean == 1.0
+        assert corloc(pool("i1", 1, [FAR, HIT]), gts).mean == 0.0
 
 
 class TestCorlocRecallConsistency:
@@ -83,8 +121,8 @@ class TestCorlocRecallConsistency:
         pools, gts = [], []
         for i, hit in enumerate(hits):
             box = G if hit else Box(30, 30, 40, 40)
-            pools.append(pool(f"i{i}", i + 1, [box]))
-            gts.append(gt(f"i{i}", (i + 1, G)))
+            pools += pool(f"i{i}", i + 1, [box])
+            gts += gt(f"i{i}", (i + 1, G))
         curve = recall_at_k(pools, gts, [1])
         result = corloc(pools, gts)
         assert curve.recalls[0] == pytest.approx(result.mean, abs=1e-12)
@@ -96,7 +134,7 @@ class TestApProperties:
         G = Box(0, 0, 10, 10)
         dets = [det("i1", 1, Box(int(d), 0, int(d) + 10, 10), float(s))
                 for d, s in zip(rng.integers(0, 15, 30), rng.random(30))]
-        gts = [gt("i1", (1, G))]
+        gts = gt("i1", (1, G))
         base = voc_ap(dets, gts).mean_ap
         for _ in range(5):
             shuffled = list(dets)
@@ -108,7 +146,7 @@ class TestApProperties:
         gts, dets = [], []
         for i in range(40):
             G = Box(0, 0, 10, 10)
-            gts.append(gt(f"i{i}", (1, G)))
+            gts += gt(f"i{i}", (1, G))
             for _ in range(10):
                 dx = int(rng.integers(0, 12))
                 dets.append(det(f"i{i}", 1, Box(dx, 0, dx + 10, 10),
@@ -121,7 +159,7 @@ class TestApProperties:
     def test_skipped_classes_are_reported_and_excluded(self):
         G = Box(0, 0, 10, 10)
         dets = [det("i1", 1, G, 0.9), det("i1", 7, G, 0.9)]
-        result = voc_ap(dets, [gt("i1", (1, G))])
+        result = voc_ap(dets, gt("i1", (1, G)))
         assert result.skipped_classes == (7,)
         assert set(result.per_class) == {1}
         assert result.mean_ap == 1.0
@@ -130,7 +168,7 @@ class TestApProperties:
         # ten detections on one instance: exactly one true positive
         G = Box(0, 0, 10, 10)
         dets = [det("i1", 1, G, 0.9 - 0.01 * j) for j in range(10)]
-        result = voc_ap(dets, [gt("i1", (1, G), (1, Box(20, 20, 30, 30)))])
+        result = voc_ap(dets, gt("i1", (1, G), (1, Box(20, 20, 30, 30))))
         # npos 2, only one matched: final recall 0.5, precision 1/10
         assert result.per_class[1] == pytest.approx(6 / 11, abs=1e-9)
 
@@ -158,8 +196,8 @@ def tiny_corpus(n_scenes=6, noise=0.0, blur=0, seed0=500):
         fam = gen_proposals(spec, ProposalCounts(5, 5, 2, 5), seed=seed0 + i)
         proposals = [(cid, box) for _, cid, box in fam.all_entries()]
         scenes.append(FakeScene(image_id=f"s{i}", maps=maps,
-                                gt=[GtInstance(class_id=c, box=b)
-                                    for c, b in gt_rows],
+                                gt=[GtRecord(image_id=f"s{i}", class_id=c,
+                                             box=b) for c, b in gt_rows],
                                 proposals=proposals))
     return scenes
 
@@ -204,7 +242,7 @@ class TestAblationSweep:
         m = ConfMap(class_id=1, values=10 ** -rng.uniform(0, 38, (12, 12)))
         boxes = [Box(3, 5, 4, 6), Box(0, 0, 12, 12), Box(2, 4, 6, 8)]
         scene = FakeScene(image_id="t", maps={1: m},
-                          gt=[GtInstance(class_id=1, box=boxes[0])],
+                          gt=[GtRecord(image_id="t", class_id=1, box=boxes[0])],
                           proposals=[(1, b) for b in boxes])
         result = ablation_sweep([scene], [1.2, 2.0], [0.3, 0.5, 1.0])
         for cell in result.cells:
@@ -229,7 +267,7 @@ class TestAblationSweep:
         pattern(order, a, 0.75, 0.25)
         pattern(order, b, 0.75, 0.25)
         scenes = [FakeScene(image_id=image_id, maps={1: ConfMap(1, values)},
-                            gt=[GtInstance(class_id=1, box=a)],
+                            gt=[GtRecord(image_id=image_id, class_id=1, box=a)],
                             proposals=proposals)
                   for image_id, values, proposals in (
                       ("p", purity, [(1, b), (1, a)]),
@@ -250,10 +288,9 @@ class TestAblationSweep:
         scenes = tiny_corpus(6)
         result = ablation_sweep(scenes, [1.2], [0.5])
         cell = result.cells[0]
-        pools_pi = score_corpus(scenes, ScoringConfig(enlarge_ratio=1.0))
-        gts = [GroundTruth(image_id=s.image_id, entries=tuple(s.gt))
-               for s in scenes]
-        purity_recall = recall_at_k(pools_pi, gts, [1]).recalls[0]
+        rows_pi = score_corpus(scenes, ScoringConfig(enlarge_ratio=1.0))
+        gts = [g for s in scenes for g in s.gt]
+        purity_recall = recall_at_k(rows_pi, gts, [1]).recalls[0]
         assert cell.recall_at_1 > purity_recall
 
 
@@ -286,7 +323,8 @@ def edge_case_corpus(seed):
                 boxes.append(Box(x0, y0, int(rng.integers(x0 + 1, w + 1)),
                                  int(rng.integers(y0 + 1, h + 1))))
             boxes.append(boxes[3])
-            gt.append(GtInstance(class_id=cid, box=boxes[int(rng.integers(0, 10))]))
+            gt.append(GtRecord(image_id=f"e{i}", class_id=cid,
+                               box=boxes[int(rng.integers(0, 10))]))
             if not (i == 0 and cid == 2):
                 proposals.extend((cid, b) for b in boxes)
         scenes.append(FakeScene(image_id=f"e{i}", maps=maps, gt=gt,
@@ -319,15 +357,14 @@ class TestSweepExactness:
     @example(seed=0, ratios=[1.0, 1.2, 3.0], fractions=[1.0, 0.3, 0.9])
     def test_cells_equal_score_corpus(self, seed, ratios, fractions):
         scenes = edge_case_corpus(seed)
-        gts = [GroundTruth(image_id=s.image_id, entries=tuple(s.gt))
-               for s in scenes]
+        gts = [g for s in scenes for g in s.gt]
         result = ablation_sweep(scenes, ratios, fractions)
         assert [(c.ratio, c.fraction) for c in result.cells] == \
             [(r, f) for r in ratios for f in fractions]
         for cell in result.cells:
             cfg = ScoringConfig(enlarge_ratio=cell.ratio, top_fraction=cell.fraction)
-            pools = score_corpus(scenes, cfg)
-            assert cell.recall_at_1 == recall_at_k(pools, gts, [1]).recalls[0]
+            rows = score_corpus(scenes, cfg)
+            assert cell.recall_at_1 == recall_at_k(rows, gts, [1]).recalls[0]
             assert cell.mean_objectness == _ordered_mean(
                 [s.objectness for s in score_all(scenes, cfg)])
 
@@ -387,8 +424,8 @@ class TestOrderedMeans:
         for cid in (1, 2, 3):
             for i in range(10):
                 image_id = f"c{cid}i{i}"
-                pools.append(pool(image_id, cid, [HIT if i < cid else FAR]))
-                gts.append(gt(image_id, (cid, HIT)))
+                pools += pool(image_id, cid, [HIT if i < cid else FAR])
+                gts += gt(image_id, (cid, HIT))
         result = corloc(pools, gts)
         assert self.order_matters(result.per_class.values())
         assert result.mean == _ordered_mean([0.1, 0.2, 0.3])
@@ -401,7 +438,7 @@ class TestOrderedMeans:
             dets += [det("i1", cid, FAR, 0.9 - r / 100) for r in range(1, rank)]
             dets.append(det("i1", cid, HIT, 0.5))
             gts.append((cid, HIT))
-        result = voc_ap(dets, [gt("i1", *gts)], mode)
+        result = voc_ap(dets, gt("i1", *gts), mode)
         aps = list(result.per_class.values())
         assert aps == pytest.approx([1 / 5, 1 / 6, 1 / 9], abs=1e-12)
         assert self.order_matters(aps)

@@ -6,7 +6,6 @@ import pytest
 
 from tightbox.confmap import ConfMap
 from tightbox.errors import BundleValidationError, MalformedFileError, ParseError
-from tightbox.evaluation import GtInstance
 from tightbox.geometry import Box
 from tightbox.io_formats import (BoxRecord, GtRecord, ScoredRecord,
                                  read_boxes, read_bundle, read_confmap,
@@ -335,8 +334,8 @@ class TestBundles:
             "scene,1,2,2,10,10,0\n"
             "scene,3,5,5,12,12,1\n")
         assert read_bundle(path).gt == (
-            GtInstance(class_id=1, box=Box(2, 2, 10, 10)),
-            GtInstance(class_id=3, box=Box(5, 5, 12, 12), ignore=True))
+            GtRecord("scene", 1, Box(2, 2, 10, 10)),
+            GtRecord("scene", 3, Box(5, 5, 12, 12), ignore=True))
 
     def test_out_of_bounds_gt_box_named_in_failure(self, tmp_path):
         path = self.make_bundle(tmp_path)
@@ -407,11 +406,14 @@ class TestBundles:
         (lambda meta: {**meta, "image_id": 7}, "image_id"),
         (lambda meta: {**meta, "has_proposals": "yes"}, "has_proposals"),
         (lambda meta: {**meta, "has_proposals": 1}, "has_proposals"),
-        (lambda meta: {**meta, "has_proposals": None}, "has_proposals")],
+        (lambda meta: {**meta, "has_proposals": None}, "has_proposals"),
+        (lambda meta: {**meta, "format_version": True}, "format_version"),
+        (lambda meta: {**meta, "format_version": 1.0}, "format_version")],
         ids=["top-level-list", "map-files-list", "map-file-int",
              "class-id-word", "class-id-5000-digits", "width-string",
              "height-null", "image-id-int", "has-proposals-string",
-             "has-proposals-int", "has-proposals-null"])
+             "has-proposals-int", "has-proposals-null",
+             "format-version-true", "format-version-float"])
     def test_malformed_spec_field_named_in_failure(self, tmp_path, edit, field):
         path = self.make_bundle(tmp_path)
         spec = path / "spec.json"
@@ -437,6 +439,25 @@ class TestBundles:
                 read_bundle(path)
             assert exc.value.failures == [
                 "spec.json: map_files keys '01' and '1' both name class 1"]
+
+    def test_map_file_outside_the_bundle_rejected_naming_its_key(self,
+                                                                  tmp_path):
+        # a same-class, same-size map of a sibling bundle would load
+        # silently under a relative or an absolute path
+        path = self.make_bundle(tmp_path / "a")
+        sibling = self.make_bundle(tmp_path / "b") / "other.tscf"
+        write_confmap_raw(ConfMap(class_id=1, values=np.zeros((16, 16))),
+                          sibling)
+        spec = path / "spec.json"
+        meta = json.loads(spec.read_text())
+        for fname in ("../../b/scene/other.tscf", str(sibling), "..", "."):
+            spec.write_text(json.dumps({
+                **meta, "map_files": {**meta["map_files"], "1": fname}}))
+            with pytest.raises(BundleValidationError) as exc:
+                read_bundle(path)
+            assert exc.value.failures == [
+                f"spec.json: map_files '1' must name a file in the bundle, "
+                f"got {fname!r}"]
 
     def test_has_proposals_must_agree_with_proposals_csv(self, tmp_path):
         listed = self.make_bundle(tmp_path / "listed")

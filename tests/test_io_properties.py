@@ -7,6 +7,7 @@ these properties found is kept as an ``@example``.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +290,7 @@ class TestFuzzedSpec:
                     {}])
     @example(edits=[{"map_files": {"1" * 5000: "class_007.tscf"}}, {}])
     @example(edits=[{"map_files": {"7": "\x00"}}, {"image_id": "a"}])
+    @example(edits=[{"map_files": {"7": "../b/other.tscf"}}, {}])
     def test_bundle_readers_raise_only_bundle_validation_error(self, tmp_path,
                                                                edits):
         values = np.linspace(0.0, 1.0, 64).reshape(8, 8)
@@ -307,5 +309,10 @@ class TestFuzzedSpec:
                 assert exc.failures
             else:
                 # a bundle that reads clean drops none of its listed maps
+                # and loads them from its own directory only
                 for b in bundles:
-                    assert len(b.maps) == len(b.meta.get("map_files", {}))
+                    files = b.meta.get("map_files", {}).values()
+                    assert len(b.maps) == len(files)
+                    home = Path(b.path).resolve()
+                    assert all((home / f).resolve().parent == home
+                               for f in files)
